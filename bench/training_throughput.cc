@@ -1,12 +1,12 @@
 // Training-hot-path throughput: RL transitions/sec through PdqnAgent::Update
-// and prediction samples/sec through TrainPredictor, each measured on the
-// per-sample reference path and the vectorized minibatch path. Emits JSON
-// (--json-out) and optionally gates against a checked-in baseline
-// (--baseline, --max-regress) so CI catches throughput regressions.
+// and prediction samples/sec through TrainPredictor, each measured eagerly
+// and as static-plan replay. Emits JSON (--json-out) and optionally gates
+// against a checked-in baseline (--baseline, --max-regress) so CI catches
+// throughput regressions.
 //
 // Usage:
 //   training_throughput [--json-out=path] [--baseline=path]
-//                       [--max-regress=0.30] [--skip-per-sample] [--trials=N]
+//                       [--max-regress=0.30] [--trials=N]
 //                       [--kernel=scalar|avx2] [--skip-gemm] [--plans=on|off]
 //                       [--profile-out=path] [--min-profile-coverage=0.95]
 //
@@ -19,10 +19,11 @@
 //
 // --plans controls the static-execution-plan axis: the eager keys
 // (rl_transitions_per_sec_batched etc.) are always measured with plans
-// pinned OFF — they stay comparable to the committed eager baseline — and
-// --plans=on (the default) measures the same paths again with capture/replay
-// plans enabled, emitting the *_plan_* keys and speedups. --plans=off (or
-// HEAD_PLANS=0) skips the plan pass and writes 0 for the plan keys.
+// pinned OFF (nn::ScopedPlansOff) — they stay comparable to the committed
+// eager baseline — and --plans=on (the default) measures the same paths
+// again with capture/replay plans enabled, emitting the *_plan_* keys and
+// speedups. --plans=off (or HEAD_PLANS=0) skips the plan pass and writes 0
+// for the plan keys.
 //
 // --kernel pins the SIMD backend for the end-to-end measurements (default:
 // the best the CPU supports). The gemm_gflops axis below always measures
@@ -75,10 +76,9 @@ head::rl::AugmentedState RandomState(Rng& rng) {
 
 /// Transitions/sec of PdqnAgent::Update on a warmed-up replay buffer (each
 /// update consumes one minibatch through critic + actor).
-double MeasureRlThroughput(bool batched, int updates, bool plans) {
+double MeasureRlThroughput(int updates, bool plans) {
+  const head::nn::ScopedPlansOff plans_off(/*active=*/!plans);
   head::rl::PdqnConfig config;  // paper-scale nets: hidden 64, batch 64
-  config.batched_updates = batched;
-  config.static_plans = plans;
   Rng init(11);
   auto agent = head::rl::MakeBpDqnAgent(config, init);
 
@@ -112,9 +112,8 @@ double MeasureRlThroughput(bool batched, int updates, bool plans) {
 /// outside the tape — they are not counted here by design.
 double MeasureRlSteadyAllocs(int warmup_updates, int measured_updates,
                              bool plans) {
+  const head::nn::ScopedPlansOff plans_off(/*active=*/!plans);
   head::rl::PdqnConfig config;
-  config.batched_updates = true;
-  config.static_plans = plans;
   Rng init(11);
   auto agent = head::rl::MakeBpDqnAgent(config, init);
 
@@ -174,8 +173,8 @@ std::vector<head::perception::PredictionSample> MakeSamples(int count, int z,
 /// the steady state both keys claim — for plans that is pure replay, with
 /// capture amortized away as it is in any training run longer than the
 /// fast profile's two minibatches.
-double MeasurePredictionThroughput(bool batched, int sample_count,
-                                   int epochs, bool plans) {
+double MeasurePredictionThroughput(int sample_count, int epochs, bool plans) {
+  const head::nn::ScopedPlansOff plans_off(/*active=*/!plans);
   head::perception::LstGatConfig net_config;  // defaults: 64-wide, as paper
   Rng init(7);
   head::perception::LstGat model(net_config, init);
@@ -185,8 +184,6 @@ double MeasurePredictionThroughput(bool batched, int sample_count,
   head::perception::PredictorPlanCache plan_cache;
   head::perception::PredictionTrainConfig config;
   config.epochs = epochs;
-  config.batched = batched;
-  config.static_plans = plans;
   config.plan_cache = &plan_cache;
   head::perception::TrainPredictor(model, samples, config);  // warmup
   const double t0 = Now();
@@ -199,6 +196,7 @@ double MeasurePredictionThroughput(bool batched, int sample_count,
 /// warmup epoch fills the arena and pool, then a measured epoch over the same
 /// data must not touch the heap through either.
 double MeasurePredSteadyAllocs(int sample_count, bool plans) {
+  const head::nn::ScopedPlansOff plans_off(/*active=*/!plans);
   head::perception::LstGatConfig net_config;
   Rng init(7);
   head::perception::LstGat model(net_config, init);
@@ -208,8 +206,6 @@ double MeasurePredSteadyAllocs(int sample_count, bool plans) {
   head::perception::PredictorPlanCache plan_cache;
   head::perception::PredictionTrainConfig config;
   config.epochs = 1;
-  config.batched = true;
-  config.static_plans = plans;
   config.plan_cache = &plan_cache;  // measured epoch replays, no recapture
   // Two warmup epochs: the first compiles the plans (or, eager, fills the
   // pool); the second runs the measured path itself once so the pool holds
@@ -228,15 +224,15 @@ double MeasurePredSteadyAllocs(int sample_count, bool plans) {
 /// of the training hot path. Uses an untrained agent: rollout cost is
 /// forward-pass + sim dominated and independent of weight values.
 double MeasureRolloutThroughput(int num_envs, int episodes, bool plans) {
+  // Process-wide, so the EnvPool workers' Act/Predict calls see it too.
+  const head::nn::ScopedPlansOff plans_off(/*active=*/!plans);
   head::rl::EnvConfig env_config;
   env_config.sim.road.length_m = 400.0;
   env_config.sim.spawn.back_margin_m = 120.0;
   env_config.sim.spawn.front_margin_m = 120.0;
   Rng init(13);
   head::perception::LstGat predictor(head::perception::LstGatConfig{}, init);
-  predictor.set_static_plans(plans);
   head::rl::PdqnConfig config;
-  config.static_plans = plans;
   Rng agent_rng(19);
   auto agent = head::rl::MakeBpDqnAgent(config, agent_rng);
 
@@ -391,7 +387,6 @@ int main(int argc, char** argv) {
   const int pred_epochs = paper ? 4 : 1;
   const int trials =
       static_cast<int>(ArgValue(argc, argv, "--trials", paper ? 2 : 3));
-  const bool skip_per_sample = HasFlag(argc, argv, "--skip-per-sample");
   const int rollout_envs = paper ? 8 : 4;
   const int rollout_episodes = paper ? 32 : 12;
 
@@ -404,10 +399,11 @@ int main(int argc, char** argv) {
 
   // --plans controls the static-execution-plan axis: the eager keys
 // (rl_transitions_per_sec_batched etc.) are always measured with plans
-// pinned OFF — they stay comparable to the committed eager baseline — and
-// --plans=on (the default) measures the same paths again with capture/replay
-// plans enabled, emitting the *_plan_* keys and speedups. --plans=off (or
-// HEAD_PLANS=0) skips the plan pass and writes 0 for the plan keys.
+// pinned OFF (nn::ScopedPlansOff) — they stay comparable to the committed
+// eager baseline — and --plans=on (the default) measures the same paths
+// again with capture/replay plans enabled, emitting the *_plan_* keys and
+// speedups. --plans=off (or HEAD_PLANS=0) skips the plan pass and writes 0
+// for the plan keys.
 //
 // --kernel pins the SIMD backend for everything measured below.
   const std::string kernel_flag = ArgString(argc, argv, "--kernel");
@@ -487,12 +483,12 @@ int main(int argc, char** argv) {
   // Eager reference pass: plans pinned OFF so these keys keep measuring the
   // arena/pool eager path the committed baseline was recorded on.
   const double rl_batched = BestOf(trials, [&] {
-    return MeasureRlThroughput(/*batched=*/true, rl_updates, /*plans=*/false);
+    return MeasureRlThroughput(rl_updates, /*plans=*/false);
   });
   std::cout << "rl batched:       " << rl_batched << " transitions/sec\n";
   const double pred_batched = BestOf(trials, [&] {
-    return MeasurePredictionThroughput(/*batched=*/true, pred_samples,
-                                       pred_epochs, /*plans=*/false);
+    return MeasurePredictionThroughput(pred_samples, pred_epochs,
+                                       /*plans=*/false);
   });
   std::cout << "pred batched:     " << pred_batched << " samples/sec\n";
   const double rollout = BestOf(trials, [&] {
@@ -508,14 +504,14 @@ int main(int argc, char** argv) {
   double rollout_plan = 0.0;
   if (measure_plans) {
     rl_plan = BestOf(trials, [&] {
-      return MeasureRlThroughput(/*batched=*/true, rl_updates, /*plans=*/true);
+      return MeasureRlThroughput(rl_updates, /*plans=*/true);
     });
     std::cout << "rl plan replay:   " << rl_plan
               << " transitions/sec (plan speedup " << rl_plan / rl_batched
               << "x)\n";
     pred_plan = BestOf(trials, [&] {
-      return MeasurePredictionThroughput(/*batched=*/true, pred_samples,
-                                         pred_epochs, /*plans=*/true);
+      return MeasurePredictionThroughput(pred_samples, pred_epochs,
+                                         /*plans=*/true);
     });
     std::cout << "pred plan replay: " << pred_plan
               << " samples/sec (plan speedup " << pred_plan / pred_batched
@@ -553,25 +549,6 @@ int main(int argc, char** argv) {
               << " events/step\n";
   }
 
-  double rl_per_sample = 0.0;
-  double pred_per_sample = 0.0;
-  if (!skip_per_sample) {
-    rl_per_sample = BestOf(trials, [&] {
-      return MeasureRlThroughput(/*batched=*/false, rl_updates,
-                                 /*plans=*/false);
-    });
-    std::cout << "rl per-sample:    " << rl_per_sample
-              << " transitions/sec (speedup "
-              << rl_batched / rl_per_sample << "x)\n";
-    pred_per_sample = BestOf(trials, [&] {
-      return MeasurePredictionThroughput(/*batched=*/false, pred_samples,
-                                         pred_epochs, /*plans=*/false);
-    });
-    std::cout << "pred per-sample:  " << pred_per_sample
-              << " samples/sec (speedup " << pred_batched / pred_per_sample
-              << "x)\n";
-  }
-
   std::ostringstream json;
   json.precision(6);
   json << "{\"profile\":\"" << (paper ? "paper" : "fast") << "\","
@@ -584,13 +561,7 @@ int main(int argc, char** argv) {
        << "\"rollout_envs\":" << rollout_envs << ","
        << "\"rollout_env_steps_per_sec\":" << rollout << ","
        << "\"rl_transitions_per_sec_batched\":" << rl_batched << ","
-       << "\"rl_transitions_per_sec_per_sample\":" << rl_per_sample << ","
-       << "\"rl_speedup\":"
-       << (rl_per_sample > 0 ? rl_batched / rl_per_sample : 0.0) << ","
        << "\"pred_samples_per_sec_batched\":" << pred_batched << ","
-       << "\"pred_samples_per_sec_per_sample\":" << pred_per_sample << ","
-       << "\"pred_speedup\":"
-       << (pred_per_sample > 0 ? pred_batched / pred_per_sample : 0.0) << ","
        << "\"rl_allocs_per_step_steady\":" << rl_allocs << ","
        << "\"pred_allocs_per_step_steady\":" << pred_allocs << ","
        << "\"plans\":\"" << (measure_plans ? "on" : "off") << "\","
@@ -718,9 +689,8 @@ int main(int argc, char** argv) {
     head::obs::StartProfiling();
     // The profiled pass runs the default execution mode: with plans on it
     // proves replay keeps per-op attribution (coverage gate below) intact.
-    MeasureRlThroughput(/*batched=*/true, rl_updates, measure_plans);
-    MeasurePredictionThroughput(/*batched=*/true, pred_samples, pred_epochs,
-                                measure_plans);
+    MeasureRlThroughput(rl_updates, measure_plans);
+    MeasurePredictionThroughput(pred_samples, pred_epochs, measure_plans);
     MeasureRolloutThroughput(rollout_envs, std::max(2, rollout_episodes / 4),
                              measure_plans);
     head::obs::StopProfiling();

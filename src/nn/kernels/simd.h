@@ -10,10 +10,10 @@
 //     element is a single register lane folding fma(a, b, acc) over k in
 //     increasing order, independent of blocking, packing, row-chunking, or
 //     the m-size path taken — so AVX2 results are deterministic run-to-run,
-//     thread-count-invariant, and identical between the batched and
-//     per-sample training paths. They differ from scalar only by FMA's
-//     single rounding per multiply-add (≤ ~1e-13 relative at these shapes;
-//     tolerance-tested at 1e-6).
+//     thread-count-invariant, and row-invariant: a row's result is the
+//     same at batch size 1 and at any B. They differ from scalar only by
+//     FMA's single rounding per multiply-add (≤ ~1e-13 relative at these
+//     shapes; tolerance-tested at 1e-6).
 //
 // Dispatch: a function-pointer table selected once at startup from cpuid
 // (__builtin_cpu_supports) with an HEAD_SIMD=avx2|scalar env override, and

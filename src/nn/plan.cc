@@ -15,6 +15,9 @@ namespace {
 
 std::atomic<uint64_t> g_plan_serial{0};
 
+/// Live ScopedPlansOff count; plans are off while it is non-zero.
+std::atomic<int> g_plans_off{0};
+
 /// The thread's live capture, if any. Ops in autograd.cc route node
 /// allocation here via plan_internal::NewNode() while this is non-null.
 thread_local ExecPlan* t_capture = nullptr;
@@ -68,12 +71,14 @@ void RegisterIndexSlot(VarImpl* node) {
 /// internal parent edges rewired to the clones, external edges left on the
 /// shared persistent Params (so replay reads live weights).
 struct ReplayContext {
-  std::shared_ptr<const ExecPlan> plan;  // keeps the plan alive
+  /// Observes, never owns: a plan whose last owner is gone (a torn-down
+  /// model) is freed at once, and its context is swept at this thread's
+  /// next cache miss.
+  std::weak_ptr<const ExecPlan> plan;
   std::vector<VarImpl> nodes;
 
-  explicit ReplayContext(std::shared_ptr<const ExecPlan> p)
-      : plan(std::move(p)) {
-    const ExecPlan& src = *plan;
+  explicit ReplayContext(const ExecPlan& src)
+      : plan(src.shared_from_this()) {
     nodes.reserve(src.nodes_.size());
     for (const VarImpl& master : src.nodes_) {
       if (master.forward == nullptr) {
@@ -114,10 +119,10 @@ struct ReplayContext {
 
 namespace {
 
-/// Replay contexts are cached per thread, keyed by plan serial. Call sites
-/// cap how many plans they create, so the map stays tiny; the cap here is a
-/// backstop against unbounded growth when a process churns through plans
-/// (each entry pins its plan via shared_ptr).
+/// Replay contexts are cached per thread, keyed by plan serial (never
+/// reused, so a dead plan's entry cannot alias a live one). Call sites cap
+/// how many plans they create, so the map stays tiny; the cap here is a
+/// backstop against unbounded growth when a process holds many live plans.
 constexpr size_t kMaxContextsPerThread = 64;
 
 thread_local std::unordered_map<uint64_t,
@@ -127,9 +132,12 @@ thread_local std::unordered_map<uint64_t,
 plan_internal::ReplayContext& ContextFor(const ExecPlan& plan) {
   const auto it = t_contexts.find(plan.serial());
   if (it != t_contexts.end()) return *it->second;
+  // Miss: drop the clones of plans that died since (the hit path above
+  // stays a single lookup).
+  std::erase_if(t_contexts,
+                [](const auto& entry) { return entry.second->plan.expired(); });
   if (t_contexts.size() >= kMaxContextsPerThread) t_contexts.clear();
-  auto ctx = std::make_unique<plan_internal::ReplayContext>(
-      plan.shared_from_this());
+  auto ctx = std::make_unique<plan_internal::ReplayContext>(plan);
   plan_internal::ReplayContext& ref = *ctx;
   t_contexts.emplace(plan.serial(), std::move(ctx));
   return ref;
@@ -254,7 +262,15 @@ bool PlansEnabled() {
     const char* env = std::getenv("HEAD_PLANS");
     return env == nullptr || env[0] == '\0' || env[0] != '0';
   }();
-  return enabled;
+  return enabled && g_plans_off.load(std::memory_order_relaxed) == 0;
+}
+
+ScopedPlansOff::ScopedPlansOff(bool active) : active_(active) {
+  if (active_) g_plans_off.fetch_add(1, std::memory_order_relaxed);
+}
+
+ScopedPlansOff::~ScopedPlansOff() {
+  if (active_) g_plans_off.fetch_sub(1, std::memory_order_relaxed);
 }
 
 bool PlanCaptureActive() { return t_capture != nullptr; }

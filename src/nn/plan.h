@@ -45,7 +45,7 @@
 //
 // Fallback: call sites key plans by shape and fall back to the eager arena
 // path for unseen shapes, non-capturable models, or when disabled
-// (config `static_plans = false`, or HEAD_PLANS=0 in the environment).
+// (HEAD_PLANS=0 in the environment, or a live ScopedPlansOff).
 #ifndef HEAD_NN_PLAN_H_
 #define HEAD_NN_PLAN_H_
 
@@ -152,10 +152,27 @@ class PlanCapture {
 };
 
 /// Process-wide kill switch: false when HEAD_PLANS=0 is set in the
-/// environment (the plans-off CI stage); call sites must then keep to the
-/// eager path. Read once, so flipping the variable mid-process has no
-/// effect.
+/// environment (the plans-off CI stage) or while a ScopedPlansOff is live;
+/// call sites must then keep to the eager path. The variable is read once,
+/// so flipping it mid-process has no effect.
 bool PlansEnabled();
+
+/// Turns plans off process-wide for its lifetime — every thread, EnvPool
+/// workers included — so a test or bench can run the eager reference of a
+/// planned step; `active = false` makes it a no-op, for callers that pick
+/// the side at run time. It can only disable: with HEAD_PLANS=0 plans stay
+/// off. Scopes nest. Plans already compiled stay cached and are replayed
+/// again once the last scope ends.
+class ScopedPlansOff {
+ public:
+  explicit ScopedPlansOff(bool active = true);
+  ~ScopedPlansOff();
+  ScopedPlansOff(const ScopedPlansOff&) = delete;
+  ScopedPlansOff& operator=(const ScopedPlansOff&) = delete;
+
+ private:
+  bool active_;
+};
 
 /// True while a PlanCapture is live on the calling thread.
 bool PlanCaptureActive();

@@ -32,21 +32,20 @@ class LstGat : public StatePredictor {
 
   std::string name() const override { return "LST-GAT"; }
 
+  /// The per-sample pass: ForwardScaledBatch({&graph}).
   nn::Var ForwardScaled(const StGraph& graph) const override;
 
-  /// Vectorized minibatch pass: stacks every sample's 42 step-k nodes into
-  /// one (B·42×4) matrix, runs the GAT as block-diagonal gather/softmax/
+  /// Minibatch pass: stacks every sample's 42 step-k nodes into one
+  /// (B·42×4) matrix, runs the GAT as block-diagonal gather/softmax/
   /// scatter ops (no per-target slicing loop), and drives the LSTM with a
   /// batch of B·6 target rows. Falls back to the stacked per-sample default
   /// when the graphs disagree on history depth z.
   nn::Var ForwardScaledBatch(
       const std::vector<const StGraph*>& graphs) const override;
 
-  /// Both forward passes build a fixed graph for a given z whose data
-  /// enters only through nn::PlanInput — compilable into an ExecPlan.
+  /// The pass builds a fixed graph for a given z whose data enters only
+  /// through nn::PlanInput — compilable into an ExecPlan.
   bool PlanCapturable() const override { return true; }
-  void AppendPlanInputs(const StGraph& graph,
-                        std::vector<nn::Tensor>* inputs) const override;
   void AppendPlanInputsBatch(const std::vector<const StGraph*>& graphs,
                              std::vector<nn::Tensor>* inputs) const override;
   const char* ForwardSpanName() const override {
@@ -62,11 +61,14 @@ class LstGat : public StatePredictor {
   std::vector<double> AttentionWeights(const StGraph& graph, int i) const;
 
  private:
-  /// Per-step GAT: returns the (6 × d_phi3) updated target states h' (Eq. 11).
-  nn::Var GatStep(const StepNodes& nodes) const;
+  /// Eq. (10) for `groups` stacked 7-node groups: `h_embed` is the
+  /// (groups·7 × D_φ1) node embedding φ1·h; returns the (groups × 7)
+  /// attention weights over [self, surroundings 1..6], or the uniform 1/7
+  /// when config_.use_attention is off.
+  nn::Var Attention(const nn::Var& h_embed, int groups) const;
 
   /// Per-step GAT over `groups` stacked 7-node groups at once: `m` is
-  /// (groups·7 × 4); returns the (groups × d_phi3) updated states.
+  /// (groups·7 × 4); returns the (groups × d_phi3) updated states (Eq. 11).
   nn::Var GatStepStacked(const nn::Var& m, int groups) const;
 
   LstGatConfig config_;
@@ -76,14 +78,6 @@ class LstGat : public StatePredictor {
   nn::LstmCell lstm_;
   nn::Linear head_;  // φ4 (+ b4): D_l → 3
 };
-
-/// Packs one step's 42 node features into a (42×4) tensor, grouped as
-/// 7 consecutive rows per target (self first).
-nn::Tensor PackStepTensor(const StepNodes& nodes);
-
-/// PackStepTensor as a Var — an nn::PlanInput, so a capturing caller gets a
-/// replay slot; outside capture it is a plain constant.
-nn::Var PackStepNodes(const StepNodes& nodes);
 
 }  // namespace head::perception
 

@@ -27,11 +27,7 @@ nn::Var StatePredictor::ForwardScaledBatch(
   return rows.size() == 1 ? rows[0] : nn::ConcatRows(rows);
 }
 
-// Feeders are only reachable through PlanCapturable() == true overrides.
-void StatePredictor::AppendPlanInputs(const StGraph&,
-                                      std::vector<nn::Tensor>*) const {
-  HEAD_CHECK(false);
-}
+// The feeder is only reachable through PlanCapturable() == true overrides.
 void StatePredictor::AppendPlanInputsBatch(const std::vector<const StGraph*>&,
                                            std::vector<nn::Tensor>*) const {
   HEAD_CHECK(false);
@@ -50,7 +46,7 @@ Prediction StatePredictor::Predict(const StGraph& graph) const {
   nn::Tensor value;  // (6×3) scaled residuals
   bool have_value = false;
   std::shared_ptr<const nn::ExecPlan> plan;
-  if (static_plans_ && nn::PlansEnabled() && PlanCapturable()) {
+  if (nn::PlansEnabled() && PlanCapturable()) {
     std::lock_guard<std::mutex> lock(plan_mu_);
     const auto it = predict_plans_.find(graph.z());
     if (it != predict_plans_.end()) {
@@ -68,7 +64,7 @@ Prediction StatePredictor::Predict(const StGraph& graph) const {
   if (plan != nullptr) {
     const obs::ScopedSpan span(ForwardSpanName());
     std::vector<nn::Tensor> in;
-    AppendPlanInputs(graph, &in);
+    AppendPlanInputsBatch({&graph}, &in);
     value = *plan->Replay(std::move(in))[0];
   } else if (!have_value) {
     value = ForwardScaled(graph).value();

@@ -59,39 +59,33 @@ class StatePredictor : public nn::Module {
 
   /// Differentiable minibatch forward pass: (B·6×3) Var, sample-major (the
   /// 6 rows of graphs[0], then graphs[1], …). The default stacks per-sample
-  /// ForwardScaled results; models override it with a genuinely vectorized
-  /// pass (one autograd graph over the whole minibatch).
+  /// ForwardScaled results; LST-GAT overrides it with its one vectorized
+  /// pass (one autograd graph over the whole minibatch) and runs
+  /// ForwardScaled through it at B=1.
   virtual nn::Var ForwardScaledBatch(
       const std::vector<const StGraph*>& graphs) const;
 
-  /// True when ForwardScaled/ForwardScaledBatch build a fixed-shape graph
-  /// for a given history depth z whose data enters only through
-  /// nn::PlanInput, so Predict and the trainer may compile the pass into a
-  /// static nn::ExecPlan. The per-sample stacking default is not.
+  /// True when ForwardScaledBatch builds a fixed-shape graph for a given
+  /// history depth z whose data enters only through nn::PlanInput, so
+  /// Predict and the trainer may compile the pass into a static
+  /// nn::ExecPlan. The per-sample stacking default is not.
   virtual bool PlanCapturable() const { return false; }
-  /// Replay feeders: push the input tensors in the exact order a captured
-  /// ForwardScaled(graph) / ForwardScaledBatch(graphs) consumed them. Only
-  /// valid when PlanCapturable().
-  virtual void AppendPlanInputs(const StGraph& graph,
-                                std::vector<nn::Tensor>* inputs) const;
+  /// Replay feeder: pushes the input tensors in the exact order a captured
+  /// ForwardScaledBatch(graphs) consumed them. Only valid when
+  /// PlanCapturable().
   virtual void AppendPlanInputsBatch(const std::vector<const StGraph*>& graphs,
                                      std::vector<nn::Tensor>* inputs) const;
   /// Trace-span name a replayed forward pass is attributed to — the same
-  /// span the model's eager ForwardScaled opens, so traces look identical
+  /// span the model's eager forward opens, so traces look identical
   /// whether a step ran eagerly or as a plan replay.
   virtual const char* ForwardSpanName() const { return "perception.forward"; }
 
   /// Inference: decodes ForwardScaled into absolute relative states.
-  /// When PlanCapturable(), the forward pass is compiled into one ExecPlan
-  /// per history depth z on first use and replayed afterwards — safe to call
-  /// concurrently from EnvPool workers (replay state is per-thread).
+  /// When PlanCapturable() and nn::PlansEnabled(), the forward pass is
+  /// compiled into one ExecPlan per history depth z on first use and
+  /// replayed afterwards — safe to call concurrently from EnvPool workers
+  /// (replay state is per-thread).
   Prediction Predict(const StGraph& graph) const;
-
-  /// Disables plan compilation for this predictor (e.g. when the caller
-  /// mutates parameters structurally between predictions). Plans also
-  /// respect the global HEAD_PLANS=0 switch.
-  void set_static_plans(bool on) { static_plans_ = on; }
-  bool static_plans() const { return static_plans_; }
 
   const FeatureScale& scale() const { return scale_; }
 
@@ -99,7 +93,6 @@ class StatePredictor : public nn::Module {
   FeatureScale scale_;
 
  private:
-  bool static_plans_ = true;
   /// Predict's compiled plans, keyed by history depth z (shapes depend only
   /// on z for a capturable predictor). Guarded: Predict may race with
   /// itself across EnvPool workers.

@@ -20,21 +20,6 @@ namespace head::perception {
 
 namespace {
 
-/// Masked scaled MSE of one sample as a differentiable Var.
-nn::Var SampleLoss(const StatePredictor& model, const PredictionSample& s) {
-  const nn::Var pred = model.ForwardScaled(s.graph);
-  const nn::Var truth =
-      nn::Var::Constant(ScaledResidualTruth(s.graph, s.truth, model.scale()));
-  const nn::Var mask = nn::Var::Constant(TruthMask(s.truth));
-  int valid = 0;
-  for (bool v : s.truth.valid) valid += v ? 1 : 0;
-  if (valid == 0) {
-    return nn::Var::Constant(nn::Tensor::Zeros(1, 1));
-  }
-  const nn::Var err = nn::Mul(nn::Sub(pred, truth), mask);
-  return nn::Scale(nn::Sum(nn::Square(err)), 1.0 / (3.0 * valid));
-}
-
 /// Stacked regression targets of one minibatch: truth residuals and
 /// per-element weights (mask / (3·valid_s), zero rows for all-masked
 /// samples), sample-major to match ForwardScaledBatch.
@@ -101,7 +86,7 @@ double PredictionLoss(const StatePredictor& model,
   double total = 0.0;
   for (const PredictionSample& s : samples) {
     nn::ResetTape();  // one recycled tape per sample
-    total += SampleLoss(model, s).value()[0];
+    total += BatchLoss(model, {&s}).value()[0];
   }
   return total / samples.size();
 }
@@ -128,8 +113,7 @@ PredictionTrainResult TrainPredictor(
   // the shuffle produces (full batches plus one remainder) compiles once on
   // first use; replay then runs the identical step with zero graph
   // construction. Extra shapes beyond the cap just run eagerly.
-  const bool plans_allowed = config.static_plans && config.batched &&
-                             nn::PlansEnabled() && model.PlanCapturable();
+  const bool plans_allowed = nn::PlansEnabled() && model.PlanCapturable();
   constexpr size_t kMaxTrainPlans = 8;
   PredictorPlanCache local_cache;
   auto& plans = (config.plan_cache != nullptr ? *config.plan_cache
@@ -150,10 +134,8 @@ PredictionTrainResult TrainPredictor(
       opt.ZeroGrad();
       double step_loss;
       std::vector<const PredictionSample*> batch;
-      if (config.batched) {
-        batch.reserve(end - b);
-        for (size_t k = b; k < end; ++k) batch.push_back(&train[order[k]]);
-      }
+      batch.reserve(end - b);
+      for (size_t k = b; k < end; ++k) batch.push_back(&train[order[k]]);
       std::shared_ptr<const nn::ExecPlan> plan;
       bool may_capture = false;
       int64_t key = 0;
@@ -180,7 +162,7 @@ PredictionTrainResult TrainPredictor(
         in.push_back(std::move(targets.truth));
         in.push_back(std::move(targets.weight));
         step_loss = (*plan->Replay(std::move(in))[0])[0];
-      } else if (config.batched) {
+      } else {
         // Capture runs the step eagerly as it records, so this branch IS
         // the eager step — with a plan compiled when cacheable.
         std::optional<nn::PlanCapture> capture;
@@ -189,19 +171,6 @@ PredictionTrainResult TrainPredictor(
         step_loss = batch_loss.value()[0];
         nn::Backward(batch_loss);
         if (may_capture) plans.emplace(key, capture->Finish({batch_loss}));
-      } else {
-        std::vector<nn::Var> losses;
-        losses.reserve(end - b);
-        for (size_t k = b; k < end; ++k) {
-          losses.push_back(SampleLoss(model, train[order[k]]));
-        }
-        nn::Var batch_loss = losses[0];
-        for (size_t k = 1; k < losses.size(); ++k) {
-          batch_loss = nn::Add(batch_loss, losses[k]);
-        }
-        batch_loss = nn::Scale(batch_loss, 1.0 / losses.size());
-        step_loss = batch_loss.value()[0];
-        nn::Backward(batch_loss);
       }
       epoch_loss += step_loss * (end - b);
       opt.ClipGradNorm(5.0);

@@ -23,22 +23,17 @@ struct PredictorPlanCache {
   std::unordered_map<int64_t, std::shared_ptr<const nn::ExecPlan>> plans;
 };
 
+/// Every training step is one ForwardScaledBatch graph over the minibatch.
+/// For a PlanCapturable() model, a batch with a uniform history depth z runs
+/// as a static nn::ExecPlan per (batch size, z), compiled on first use and
+/// replayed afterwards — bitwise identical to eager, and skipped while
+/// nn::PlansEnabled() is false. Other batches run eagerly.
 struct PredictionTrainConfig {
   int epochs = 15;          // paper Sec. V-A
   double learning_rate = 0.001;
   int batch_size = 64;
   uint64_t shuffle_seed = 7;
   bool verbose = false;
-  /// Vectorized minibatch updates: one ForwardScaledBatch graph per
-  /// minibatch instead of one graph per sample. Same objective (gradient-
-  /// parity tested); the per-sample path is kept as a reference.
-  bool batched = true;
-  /// Compile the batched forward+backward step into a static nn::ExecPlan
-  /// per (batch size, history depth) on first use and replay it afterwards.
-  /// Bitwise identical to eager execution; requires `batched`, a
-  /// PlanCapturable() model, and batches with a uniform history depth z
-  /// (others fall back to eager). Also gated globally by HEAD_PLANS=0.
-  bool static_plans = true;
   /// Optional shared plan cache (not owned; must outlive the call). When
   /// null, each TrainPredictor call compiles into a private cache that dies
   /// with it.

@@ -29,46 +29,6 @@ nn::Tensor StackBlocks(const std::vector<const AugmentedState*>& batch,
 
 }  // namespace
 
-nn::Var XNet::ForwardBatch(
-    const std::vector<const AugmentedState*>& batch) const {
-  HEAD_CHECK(!batch.empty());
-  std::vector<nn::Var> rows;
-  rows.reserve(batch.size());
-  for (const AugmentedState* s : batch) rows.push_back(Forward(*s));
-  return nn::ConcatRows(rows);
-}
-
-// Feeders are only reachable through PlanCapturable() == true overrides.
-void XNet::AppendPlanInputs(const AugmentedState&,
-                            std::vector<nn::Tensor>*) const {
-  HEAD_CHECK(false);
-}
-void XNet::AppendPlanInputsBatch(const std::vector<const AugmentedState*>&,
-                                 std::vector<nn::Tensor>*) const {
-  HEAD_CHECK(false);
-}
-void QNet::AppendPlanInputs(const AugmentedState&,
-                            std::vector<nn::Tensor>*) const {
-  HEAD_CHECK(false);
-}
-void QNet::AppendPlanInputsBatch(const std::vector<const AugmentedState*>&,
-                                 std::vector<nn::Tensor>*) const {
-  HEAD_CHECK(false);
-}
-
-nn::Var QNet::ForwardBatch(const std::vector<const AugmentedState*>& batch,
-                           const nn::Var& x) const {
-  HEAD_CHECK(!batch.empty());
-  HEAD_CHECK_EQ(x.value().rows(), static_cast<int>(batch.size()));
-  std::vector<nn::Var> rows;
-  rows.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const int r = static_cast<int>(i);
-    rows.push_back(Forward(*batch[i], nn::SliceRows(x, r, r + 1)));
-  }
-  return nn::ConcatRows(rows);
-}
-
 BranchEncoder::BranchEncoder(int rows, int hidden, Rng& rng)
     : rows_(rows),
       l1_(perception::kFeatureDim, hidden, rng),
@@ -80,10 +40,6 @@ BranchEncoder::BranchEncoder(int rows, int hidden, Rng& rng)
     nn::Tensor& b = p.mutable_value();
     for (int i = 0; i < b.size(); ++i) b[i] = 0.1;
   }
-}
-
-nn::Var BranchEncoder::Forward(const nn::Tensor& block) const {
-  return ForwardStacked(block, /*batch=*/1);
 }
 
 nn::Var BranchEncoder::ForwardStacked(const nn::Tensor& blocks,
@@ -118,10 +74,6 @@ BpXNet::BpXNet(int hidden, double a_max, Rng& rng)
   for (int i = 0; i < w.size(); ++i) w[i] *= 0.1;
 }
 
-nn::Var BpXNet::Forward(const AugmentedState& s) const {
-  return ForwardBatch({&s});
-}
-
 nn::Var BpXNet::ForwardBatch(
     const std::vector<const AugmentedState*>& batch) const {
   const int b = static_cast<int>(batch.size());
@@ -130,12 +82,6 @@ nn::Var BpXNet::ForwardBatch(
        f_branch_.ForwardStacked(StackBlocks(batch, /*h_block=*/false),
                                 b)});                      // (B×13)
   return nn::Scale(out_.Forward(merged, nn::FusedAct::kTanh), a_max_);  // Eq. (25)
-}
-
-void BpXNet::AppendPlanInputs(const AugmentedState& s,
-                              std::vector<nn::Tensor>* inputs) const {
-  const std::vector<const AugmentedState*> one{&s};
-  AppendPlanInputsBatch(one, inputs);
 }
 
 void BpXNet::AppendPlanInputsBatch(
@@ -167,10 +113,6 @@ BpQNet::BpQNet(int hidden, Rng& rng)
   }
 }
 
-nn::Var BpQNet::Forward(const AugmentedState& s, const nn::Var& x) const {
-  return ForwardBatch({&s}, x);
-}
-
 nn::Var BpQNet::ForwardBatch(const std::vector<const AugmentedState*>& batch,
                              const nn::Var& x) const {
   const int b = static_cast<int>(batch.size());
@@ -182,12 +124,6 @@ nn::Var BpQNet::ForwardBatch(const std::vector<const AugmentedState*>& batch,
        f_branch_.ForwardStacked(StackBlocks(batch, /*h_block=*/false), b),
        xb});  // (B×16)
   return out_.Forward(fuse_.Forward(merged, nn::FusedAct::kLeakyRelu));
-}
-
-void BpQNet::AppendPlanInputs(const AugmentedState& s,
-                              std::vector<nn::Tensor>* inputs) const {
-  const std::vector<const AugmentedState*> one{&s};
-  AppendPlanInputsBatch(one, inputs);
 }
 
 void BpQNet::AppendPlanInputsBatch(
@@ -218,20 +154,10 @@ FlatXNet::FlatXNet(int hidden, double a_max, Rng& rng)
   for (int i = 0; i < w.size(); ++i) w[i] *= 0.1;
 }
 
-nn::Var FlatXNet::Forward(const AugmentedState& s) const {
-  const nn::Var flat = nn::PlanInput(FlattenState(s));
-  return nn::Scale(nn::Tanh(mlp_.Forward(flat)), a_max_);
-}
-
 nn::Var FlatXNet::ForwardBatch(
     const std::vector<const AugmentedState*>& batch) const {
   const nn::Var flat = nn::PlanInput(FlattenStates(batch));
   return nn::Scale(nn::Tanh(mlp_.Forward(flat)), a_max_);
-}
-
-void FlatXNet::AppendPlanInputs(const AugmentedState& s,
-                                std::vector<nn::Tensor>* inputs) const {
-  inputs->push_back(FlattenState(s));
 }
 
 void FlatXNet::AppendPlanInputsBatch(
@@ -247,25 +173,14 @@ FlatQNet::FlatQNet(int hidden, Rng& rng)
       mid_(2 * hidden, hidden, rng),
       out_(hidden, kNumBehaviors, rng) {}
 
-nn::Var FlatQNet::Forward(const AugmentedState& s, const nn::Var& x) const {
-  // The wrong-weight-sharing structure the paper improves on: raw state
-  // features and the action parameters enter one shared layer.
-  const nn::Var joint = nn::ConcatCols({nn::PlanInput(FlattenState(s)), x});
-  return out_.Forward(mid_.Forward(
-      in_.Forward(joint, nn::FusedAct::kRelu), nn::FusedAct::kRelu));
-}
-
 nn::Var FlatQNet::ForwardBatch(const std::vector<const AugmentedState*>& batch,
                                const nn::Var& x) const {
   HEAD_CHECK_EQ(x.value().rows(), static_cast<int>(batch.size()));
+  // The wrong-weight-sharing structure the paper improves on: raw state
+  // features and the action parameters enter one shared layer.
   const nn::Var joint = nn::ConcatCols({nn::PlanInput(FlattenStates(batch)), x});
   return out_.Forward(mid_.Forward(
       in_.Forward(joint, nn::FusedAct::kRelu), nn::FusedAct::kRelu));
-}
-
-void FlatQNet::AppendPlanInputs(const AugmentedState& s,
-                                std::vector<nn::Tensor>* inputs) const {
-  inputs->push_back(FlattenState(s));
 }
 
 void FlatQNet::AppendPlanInputsBatch(

@@ -17,27 +17,28 @@ namespace head::rl {
 
 /// Deterministic action-parameter network x(s; θx): emits the three
 /// accelerations (one per lane-change behavior), bounded to ±a' by tanh.
+///
+/// Every net has one forward pass, over a minibatch; B=1 is the per-sample
+/// case. The pass builds a fixed-shape graph whose data enters only through
+/// nn::PlanInput, so PdqnAgent may compile any step into an nn::ExecPlan.
 class XNet : public nn::Module {
  public:
   ~XNet() override = default;
-  virtual nn::Var Forward(const AugmentedState& s) const = 0;
   /// Minibatch forward: one autograd graph over all B states, (B×3) output.
-  /// The default stacks per-sample Forward results; the concrete nets
-  /// override it with a genuinely vectorized pass.
   virtual nn::Var ForwardBatch(
-      const std::vector<const AugmentedState*>& batch) const;
-  /// True when Forward/ForwardBatch build a fixed-shape graph whose data
-  /// enters only through nn::PlanInput, so PdqnAgent may compile the step
-  /// into an nn::ExecPlan. The per-sample stacking default is not.
-  virtual bool PlanCapturable() const { return false; }
-  /// Replay feeders: push the per-step input tensors in the exact order a
-  /// captured Forward(s) / ForwardBatch(batch) consumed them. Only valid
-  /// when PlanCapturable().
-  virtual void AppendPlanInputs(const AugmentedState& s,
-                                std::vector<nn::Tensor>* inputs) const;
+      const std::vector<const AugmentedState*>& batch) const = 0;
+  /// Replay feeder: pushes the per-step input tensors in the exact order a
+  /// captured ForwardBatch(batch) consumed them.
   virtual void AppendPlanInputsBatch(
       const std::vector<const AugmentedState*>& batch,
-      std::vector<nn::Tensor>* inputs) const;
+      std::vector<nn::Tensor>* inputs) const = 0;
+
+  /// B=1: ForwardBatch({&s}), a (1×3) output.
+  nn::Var Forward(const AugmentedState& s) const { return ForwardBatch({&s}); }
+  void AppendPlanInputs(const AugmentedState& s,
+                        std::vector<nn::Tensor>* inputs) const {
+    AppendPlanInputsBatch({&s}, inputs);
+  }
 };
 
 /// Action-value network Q(s, x; θQ): three Q values, one per behavior.
@@ -45,18 +46,23 @@ class XNet : public nn::Module {
 class QNet : public nn::Module {
  public:
   ~QNet() override = default;
-  virtual nn::Var Forward(const AugmentedState& s, const nn::Var& x) const = 0;
   /// Minibatch forward; `x` is (B×3) and gradients still flow through it.
   virtual nn::Var ForwardBatch(const std::vector<const AugmentedState*>& batch,
-                               const nn::Var& x) const;
-  /// Plan support (see XNet). The feeders cover the *state* inputs only —
-  /// `x` is a graph node the caller feeds separately.
-  virtual bool PlanCapturable() const { return false; }
-  virtual void AppendPlanInputs(const AugmentedState& s,
-                                std::vector<nn::Tensor>* inputs) const;
+                               const nn::Var& x) const = 0;
+  /// Replay feeder (see XNet). It covers the *state* inputs only — `x` is
+  /// a graph node the caller feeds separately.
   virtual void AppendPlanInputsBatch(
       const std::vector<const AugmentedState*>& batch,
-      std::vector<nn::Tensor>* inputs) const;
+      std::vector<nn::Tensor>* inputs) const = 0;
+
+  /// B=1: ForwardBatch({&s}, x) with a (1×3) `x`.
+  nn::Var Forward(const AugmentedState& s, const nn::Var& x) const {
+    return ForwardBatch({&s}, x);
+  }
+  void AppendPlanInputs(const AugmentedState& s,
+                        std::vector<nn::Tensor>* inputs) const {
+    AppendPlanInputsBatch({&s}, inputs);
+  }
 };
 
 /// Per-vehicle branch of Eq. (24)/(26): ReLU(φ_b·ReLU(φ_a·X + b_a) + b_b)
@@ -65,7 +71,6 @@ class QNet : public nn::Module {
 class BranchEncoder : public nn::Module {
  public:
   BranchEncoder(int rows, int hidden, Rng& rng);
-  nn::Var Forward(const nn::Tensor& block) const;
   /// Vectorized over a minibatch: `blocks` is B per-state blocks stacked
   /// row-wise ((B·rows)×4); returns (B×rows), one reduced row per state.
   nn::Var ForwardStacked(const nn::Tensor& blocks, int batch) const;
@@ -83,12 +88,9 @@ class BranchEncoder : public nn::Module {
 class BpXNet : public XNet {
  public:
   BpXNet(int hidden, double a_max, Rng& rng);
-  nn::Var Forward(const AugmentedState& s) const override;  // Eq. (25)
+  /// Eq. (25).
   nn::Var ForwardBatch(
       const std::vector<const AugmentedState*>& batch) const override;
-  bool PlanCapturable() const override { return true; }
-  void AppendPlanInputs(const AugmentedState& s,
-                        std::vector<nn::Tensor>* inputs) const override;
   void AppendPlanInputsBatch(const std::vector<const AugmentedState*>& batch,
                              std::vector<nn::Tensor>* inputs) const override;
   std::vector<nn::Var> Params() const override;
@@ -103,12 +105,8 @@ class BpXNet : public XNet {
 class BpQNet : public QNet {
  public:
   BpQNet(int hidden, Rng& rng);
-  nn::Var Forward(const AugmentedState& s, const nn::Var& x) const override;
   nn::Var ForwardBatch(const std::vector<const AugmentedState*>& batch,
                        const nn::Var& x) const override;
-  bool PlanCapturable() const override { return true; }
-  void AppendPlanInputs(const AugmentedState& s,
-                        std::vector<nn::Tensor>* inputs) const override;
   void AppendPlanInputsBatch(const std::vector<const AugmentedState*>& batch,
                              std::vector<nn::Tensor>* inputs) const override;
   std::vector<nn::Var> Params() const override;
@@ -132,12 +130,8 @@ class BpQNet : public QNet {
 class FlatXNet : public XNet {
  public:
   FlatXNet(int hidden, double a_max, Rng& rng);
-  nn::Var Forward(const AugmentedState& s) const override;
   nn::Var ForwardBatch(
       const std::vector<const AugmentedState*>& batch) const override;
-  bool PlanCapturable() const override { return true; }
-  void AppendPlanInputs(const AugmentedState& s,
-                        std::vector<nn::Tensor>* inputs) const override;
   void AppendPlanInputsBatch(const std::vector<const AugmentedState*>& batch,
                              std::vector<nn::Tensor>* inputs) const override;
   std::vector<nn::Var> Params() const override;
@@ -150,12 +144,8 @@ class FlatXNet : public XNet {
 class FlatQNet : public QNet {
  public:
   FlatQNet(int hidden, Rng& rng);
-  nn::Var Forward(const AugmentedState& s, const nn::Var& x) const override;
   nn::Var ForwardBatch(const std::vector<const AugmentedState*>& batch,
                        const nn::Var& x) const override;
-  bool PlanCapturable() const override { return true; }
-  void AppendPlanInputs(const AugmentedState& s,
-                        std::vector<nn::Tensor>* inputs) const override;
   void AppendPlanInputsBatch(const std::vector<const AugmentedState*>& batch,
                              std::vector<nn::Tensor>* inputs) const override;
   std::vector<nn::Var> Params() const override;

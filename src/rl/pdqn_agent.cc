@@ -22,12 +22,6 @@ int ArgMax(const nn::Tensor& row) {
   return best;
 }
 
-double MaxVal(const nn::Tensor& row) {
-  double m = row.At(0, 0);
-  for (int c = 1; c < row.cols(); ++c) m = std::max(m, row.At(0, c));
-  return m;
-}
-
 /// Per-site plan-cache cap: update plans are keyed by batch size, which is
 /// nearly always a single value (config batch_size); the cap bounds memory
 /// if a caller cycles through many sizes — extras just run eagerly.
@@ -51,18 +45,12 @@ PdqnAgent::PdqnAgent(std::string name, const PdqnConfig& config,
   q_target_->CopyParamsFrom(*q_);
 }
 
-bool PdqnAgent::PlansOn() const {
-  return config_.static_plans && nn::PlansEnabled() && x_->PlanCapturable() &&
-         q_->PlanCapturable() && x_target_->PlanCapturable() &&
-         q_target_->PlanCapturable();
-}
-
 AgentAction PdqnAgent::Act(const AugmentedState& state, double epsilon,
                            Rng& rng) {
   HEAD_PROF_SCOPE("rl.act");  // profiler root for action selection
   nn::ResetTape();  // recycle the previous action's graph nodes
   const nn::NoGradGuard no_grad;  // action selection never backprops
-  const bool use_plans = PlansOn();
+  const bool use_plans = nn::PlansEnabled();
 
   nn::Tensor x;  // (1×3)
   if (use_plans) {
@@ -178,71 +166,6 @@ void PdqnAgent::Remember(const AugmentedState& state,
 void PdqnAgent::UpdateCritic(const std::vector<const Transition*>& batch) {
   HEAD_PROF_SCOPE("rl.update_critic");
   nn::ResetTape();  // steady state: the whole update reuses recycled nodes
-  if (config_.batched_updates) {
-    UpdateCriticBatched(batch);
-    return;
-  }
-  q_opt_.ZeroGrad();
-  std::vector<nn::Var> losses;
-  losses.reserve(batch.size());
-  for (const Transition* t : batch) {
-    double y = t->reward;
-    if (!t->terminal) {
-      const nn::Var x_next = x_target_->Forward(t->next_state);
-      const nn::Tensor q_next =
-          q_target_->Forward(t->next_state, x_next).value();
-      y += config_.gamma * MaxVal(q_next);
-    }
-    const nn::Var q_all =
-        q_->Forward(t->state, nn::Var::Constant(t->params));
-    const nn::Var q_b = nn::SliceCols(q_all, t->behavior, t->behavior + 1);
-    losses.push_back(nn::Scale(nn::Square(nn::AddScalar(q_b, -y)), 0.5));
-  }
-  nn::Var loss = losses[0];
-  for (size_t i = 1; i < losses.size(); ++i) loss = nn::Add(loss, losses[i]);
-  loss = nn::Scale(loss, 1.0 / losses.size());
-  nn::Backward(loss);
-  const double grad_norm = q_opt_.ClipGradNorm(10.0);
-  q_opt_.Step();
-
-  static obs::Histogram& loss_hist = obs::GetHistogram(
-      "rl.critic_loss", obs::CachedExponentialBounds(1e-4, 2.0, 28));
-  static obs::Histogram& norm_hist = obs::GetHistogram(
-      "rl.grad_norm.critic", obs::CachedExponentialBounds(1e-4, 2.0, 28));
-  loss_hist.Observe(loss.value()[0]);
-  norm_hist.Observe(grad_norm);
-}
-
-void PdqnAgent::UpdateActor(const std::vector<const Transition*>& batch) {
-  HEAD_PROF_SCOPE("rl.update_actor");
-  nn::ResetTape();  // the critic pass's tape is spent at this point
-  if (config_.batched_updates) {
-    UpdateActorBatched(batch);
-    return;
-  }
-  x_opt_.ZeroGrad();
-  q_->ZeroGrad();  // critic grads from this pass are discarded
-  std::vector<nn::Var> losses;
-  losses.reserve(batch.size());
-  for (const Transition* t : batch) {
-    const nn::Var x = x_->Forward(t->state);
-    const nn::Var q_all = q_->Forward(t->state, x);
-    losses.push_back(nn::Scale(nn::Sum(q_all), -1.0));  // Eq. (23)
-  }
-  nn::Var loss = losses[0];
-  for (size_t i = 1; i < losses.size(); ++i) loss = nn::Add(loss, losses[i]);
-  loss = nn::Scale(loss, 1.0 / losses.size());
-  nn::Backward(loss);
-  const double grad_norm = x_opt_.ClipGradNorm(10.0);
-  x_opt_.Step();
-
-  static obs::Histogram& norm_hist = obs::GetHistogram(
-      "rl.grad_norm.actor", obs::CachedExponentialBounds(1e-4, 2.0, 28));
-  norm_hist.Observe(grad_norm);
-}
-
-void PdqnAgent::UpdateCriticBatched(
-    const std::vector<const Transition*>& batch) {
   const int b = static_cast<int>(batch.size());
   std::vector<const AugmentedState*> states(b);
   std::vector<const AugmentedState*> next_states(b);
@@ -259,7 +182,7 @@ void PdqnAgent::UpdateCriticBatched(
     }
   }
 
-  const bool use_plans = PlansOn();
+  const bool use_plans = nn::PlansEnabled();
 
   // TD targets y = r + γ·max_b Q'(s', x'(s'))·(1 − done), all under no-grad:
   // the target networks never receive gradients, so no closures are built.
@@ -355,8 +278,9 @@ void PdqnAgent::UpdateCriticBatched(
   norm_hist.Observe(grad_norm);
 }
 
-void PdqnAgent::UpdateActorBatched(
-    const std::vector<const Transition*>& batch) {
+void PdqnAgent::UpdateActor(const std::vector<const Transition*>& batch) {
+  HEAD_PROF_SCOPE("rl.update_actor");
+  nn::ResetTape();  // the critic pass's tape is spent at this point
   const int b = static_cast<int>(batch.size());
   std::vector<const AugmentedState*> states(b);
   for (int i = 0; i < b; ++i) states[i] = &batch[i]->state;
@@ -365,7 +289,7 @@ void PdqnAgent::UpdateActorBatched(
   q_->ZeroGrad();  // critic grads from this pass are discarded
   std::shared_ptr<const nn::ExecPlan> plan;
   bool may_capture = false;
-  if (PlansOn()) {
+  if (nn::PlansEnabled()) {
     std::lock_guard<std::mutex> lock(plan_mu_);
     const auto it = actor_plans_.find(b);
     if (it != actor_plans_.end()) {

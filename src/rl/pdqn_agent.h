@@ -50,16 +50,12 @@ struct PdqnConfig {
   int terminal_replay_boost = 4;
   /// P-QP: update calls per alternation phase (0 ⇒ joint optimization).
   int alternate_period = 0;
-  /// Vectorized minibatch updates: one autograd graph per minibatch instead
-  /// of one per transition. Identical math (gradient-parity tested); the
-  /// per-sample path is kept for that parity test and as a reference.
-  bool batched_updates = true;
-  /// Compile Act/Update steps into static nn::ExecPlans on first use and
-  /// replay them afterwards (zero per-step graph construction). Bitwise
-  /// identical to eager execution; also gated globally by HEAD_PLANS=0.
-  bool static_plans = true;
 };
 
+/// Each update is one autograd graph per minibatch. Act and Update steps
+/// compile into static nn::ExecPlans on first use and replay afterwards
+/// (zero per-step graph construction, bitwise identical to eager) while
+/// nn::PlansEnabled().
 class PdqnAgent : public PamdpAgent {
  public:
   using XFactory = std::function<std::unique_ptr<XNet>(Rng&)>;
@@ -92,11 +88,6 @@ class PdqnAgent : public PamdpAgent {
  private:
   void UpdateCritic(const std::vector<const Transition*>& batch);
   void UpdateActor(const std::vector<const Transition*>& batch);
-  void UpdateCriticBatched(const std::vector<const Transition*>& batch);
-  void UpdateActorBatched(const std::vector<const Transition*>& batch);
-  /// True when this agent compiles and replays static execution plans:
-  /// config + HEAD_PLANS env + all four nets build plan-capturable graphs.
-  bool PlansOn() const;
 
   std::string name_;
   PdqnConfig config_;

@@ -48,10 +48,6 @@ ModelSnapshot::ModelSnapshot(uint64_t version, std::unique_ptr<rl::XNet> x,
   zero_state_.f = nn::Tensor::Zeros(rl::kStateFRows, rl::kStateCols);
 }
 
-bool ModelSnapshot::DecisionPlansOn() const {
-  return nn::PlansEnabled() && x_->PlanCapturable() && q_->PlanCapturable();
-}
-
 void ModelSnapshot::DecideBatch(
     const std::vector<const rl::AugmentedState*>& states,
     DecisionOutput* out) const {
@@ -64,7 +60,7 @@ void ModelSnapshot::DecideBatch(
   nn::Tensor xv;  // (B×3) accelerations
   nn::Tensor qv;  // (B×3) action values
   bool have = false;
-  if (DecisionPlansOn()) {
+  if (nn::PlansEnabled()) {
     const int bucket = BucketFor(n);
     std::vector<const rl::AugmentedState*> padded = states;
     padded.resize(static_cast<size_t>(bucket), &zero_state_);

@@ -108,8 +108,6 @@ class ModelSnapshot {
   parallel::WaitToken& inflight() const { return inflight_; }
 
  private:
-  bool DecisionPlansOn() const;
-
   const uint64_t version_;
   std::unique_ptr<rl::XNet> x_;
   std::unique_ptr<rl::QNet> q_;

@@ -1,18 +1,22 @@
-// Gradient/value parity between the vectorized minibatch training paths and
-// the per-sample reference paths they replaced: identically-seeded learners
-// must end up with the same parameters (within fp accumulation-order noise,
-// ≪ 1e-9) whichever path they train through.
-#include <cmath>
+// Parity between the one minibatch pass every network runs and a per-sample
+// reference kept here as the oracle: identically-seeded learners must end up
+// with the same parameters (within fp accumulation-order noise, ≪ 1e-9)
+// whether a minibatch trains as one graph or as one graph per sample through
+// the networks' public B=1 forward.
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "nn/optimizer.h"
 #include "perception/lst_gat.h"
 #include "perception/trainer.h"
 #include "rl/nets.h"
 #include "rl/pdqn_agent.h"
+#include "rl/replay_buffer.h"
 
 namespace head {
 namespace {
@@ -39,27 +43,136 @@ rl::AugmentedState RandomState(Rng& rng) {
   return s;
 }
 
-// Trains two identically-initialized agents on identical transitions with
-// identical rng streams — one through the batched update path, one through
-// the per-sample reference — and requires parameter agreement.
-void ExpectUpdateParity(
-    const std::function<std::unique_ptr<rl::PdqnAgent>(const rl::PdqnConfig&,
-                                                       Rng&)>& make) {
+// ---- P-DQN family ----
+
+/// The per-transition form of PdqnAgent's update: Eqs. (22)/(23) summed
+/// over one graph per transition, each through the nets' B=1 Forward. It
+/// builds its nets, optimizers, replay buffer and target copies in the
+/// agent's order, so equal seeds give equal starting points and minibatches.
+/// Covers the agent's default schedule (update_every 1, no alternation).
+class PerSampleLearner {
+ public:
+  PerSampleLearner(const rl::PdqnConfig& config,
+                   const rl::PdqnAgent::XFactory& make_x,
+                   const rl::PdqnAgent::QFactory& make_q, Rng& init)
+      : config_(config),
+        x_(make_x(init)),
+        x_target_(make_x(init)),
+        q_(make_q(init)),
+        q_target_(make_q(init)),
+        q_opt_(q_->Params(), config.learning_rate),
+        x_opt_(x_->Params(), config.learning_rate * config.actor_lr_scale),
+        buffer_(config.buffer_capacity) {
+    x_target_->CopyParamsFrom(*x_);
+    q_target_->CopyParamsFrom(*q_);
+  }
+
+  void Remember(const rl::AugmentedState& state,
+                const rl::AgentAction& action, double reward,
+                const rl::AugmentedState& next_state, bool terminal) {
+    rl::Transition t;
+    t.state = state;
+    t.behavior = action.behavior;
+    t.params = action.params;
+    t.reward = reward;
+    t.next_state = next_state;
+    t.terminal = terminal;
+    const int copies =
+        terminal ? std::max(1, config_.terminal_replay_boost) : 1;
+    for (int i = 0; i < copies; ++i) buffer_.Push(t);
+  }
+
+  void Update(Rng& rng) {
+    if (buffer_.size() < static_cast<size_t>(config_.warmup_transitions)) {
+      return;
+    }
+    const std::vector<const rl::Transition*> batch =
+        buffer_.Sample(config_.batch_size, rng);
+    UpdateCritic(batch);
+    UpdateActor(batch);
+    x_target_->SoftUpdateFrom(*x_, config_.tau);
+    q_target_->SoftUpdateFrom(*q_, config_.tau);
+  }
+
+  const rl::XNet& x_net() const { return *x_; }
+  const rl::QNet& q_net() const { return *q_; }
+
+ private:
+  void UpdateCritic(const std::vector<const rl::Transition*>& batch) {
+    nn::ResetTape();
+    q_opt_.ZeroGrad();
+    nn::Var loss;
+    for (const rl::Transition* t : batch) {
+      double y = t->reward;
+      if (!t->terminal) {
+        const nn::NoGradGuard no_grad;
+        const nn::Tensor q_next =
+            q_target_->Forward(t->next_state, x_target_->Forward(t->next_state))
+                .value();
+        double q_max = q_next[0];
+        for (int c = 1; c < q_next.size(); ++c) {
+          q_max = std::max(q_max, q_next[c]);
+        }
+        y += config_.gamma * q_max;
+      }
+      const nn::Var q_all =
+          q_->Forward(t->state, nn::Var::Constant(t->params));
+      const nn::Var q_b = nn::SliceCols(q_all, t->behavior, t->behavior + 1);
+      const nn::Var term = nn::Scale(nn::Square(nn::AddScalar(q_b, -y)), 0.5);
+      loss = loss.defined() ? nn::Add(loss, term) : term;
+    }
+    nn::Backward(nn::Scale(loss, 1.0 / batch.size()));
+    q_opt_.ClipGradNorm(10.0);
+    q_opt_.Step();
+  }
+
+  void UpdateActor(const std::vector<const rl::Transition*>& batch) {
+    nn::ResetTape();
+    x_opt_.ZeroGrad();
+    q_->ZeroGrad();  // critic grads from this pass are discarded
+    nn::Var loss;
+    for (const rl::Transition* t : batch) {
+      const nn::Var term =
+          nn::Scale(nn::Sum(q_->Forward(t->state, x_->Forward(t->state))),
+                    -1.0);
+      loss = loss.defined() ? nn::Add(loss, term) : term;
+    }
+    nn::Backward(nn::Scale(loss, 1.0 / batch.size()));
+    x_opt_.ClipGradNorm(10.0);
+    x_opt_.Step();
+  }
+
+  rl::PdqnConfig config_;
+  std::unique_ptr<rl::XNet> x_;
+  std::unique_ptr<rl::XNet> x_target_;
+  std::unique_ptr<rl::QNet> q_;
+  std::unique_ptr<rl::QNet> q_target_;
+  nn::Adam q_opt_;
+  nn::Adam x_opt_;
+  rl::ReplayBuffer buffer_;
+};
+
+constexpr int kHidden = 16;
+constexpr double kAMax = rl::PdqnConfig{}.a_max;
+
+using MakeAgent =
+    std::function<std::unique_ptr<rl::PdqnAgent>(const rl::PdqnConfig&, Rng&)>;
+
+// Trains the agent and the per-sample reference on identical transitions
+// with identical rng streams and requires parameter agreement.
+void ExpectUpdateParity(const MakeAgent& make_agent,
+                        const rl::PdqnAgent::XFactory& make_x,
+                        const rl::PdqnAgent::QFactory& make_q) {
   rl::PdqnConfig config;
-  config.hidden = 16;
+  config.hidden = kHidden;
   config.batch_size = 8;
   config.warmup_transitions = 8;
   config.buffer_capacity = 128;
 
-  rl::PdqnConfig batched = config;
-  batched.batched_updates = true;
-  rl::PdqnConfig reference = config;
-  reference.batched_updates = false;
-
   Rng init_a(11);
   Rng init_b(11);
-  auto agent_a = make(batched, init_a);
-  auto agent_b = make(reference, init_b);
+  auto agent = make_agent(config, init_a);
+  PerSampleLearner reference(config, make_x, make_q, init_b);
 
   Rng data(21);
   Rng rng_a(31);
@@ -74,52 +187,72 @@ void ExpectUpdateParity(
     action.maneuver.accel_mps2 = action.params[action.behavior];
     const double reward = data.Uniform(-1.0, 1.0);
     const bool terminal = i % 7 == 0;
-    agent_a->Remember(s, action, reward, s2, terminal);
-    agent_b->Remember(s, action, reward, s2, terminal);
-    agent_a->Update(rng_a);
-    agent_b->Update(rng_b);
+    agent->Remember(s, action, reward, s2, terminal);
+    reference.Remember(s, action, reward, s2, terminal);
+    agent->Update(rng_a);
+    reference.Update(rng_b);
   }
 
-  ExpectParamsNear(agent_a->x_net().Params(), agent_b->x_net().Params());
-  ExpectParamsNear(agent_a->q_net().Params(), agent_b->q_net().Params());
+  ExpectParamsNear(agent->x_net().Params(), reference.x_net().Params());
+  ExpectParamsNear(agent->q_net().Params(), reference.q_net().Params());
 }
 
 TEST(RlBatchedParityTest, BpDqnUpdatesMatchPerSample) {
-  ExpectUpdateParity([](const rl::PdqnConfig& c, Rng& rng) {
-    return rl::MakeBpDqnAgent(c, rng);
-  });
+  ExpectUpdateParity(
+      [](const rl::PdqnConfig& c, Rng& rng) {
+        return rl::MakeBpDqnAgent(c, rng);
+      },
+      [](Rng& r) { return std::make_unique<rl::BpXNet>(kHidden, kAMax, r); },
+      [](Rng& r) { return std::make_unique<rl::BpQNet>(kHidden, r); });
 }
 
 TEST(RlBatchedParityTest, PDqnUpdatesMatchPerSample) {
-  ExpectUpdateParity([](const rl::PdqnConfig& c, Rng& rng) {
-    return rl::MakePDqnAgent(c, rng);
-  });
+  ExpectUpdateParity(
+      [](const rl::PdqnConfig& c, Rng& rng) {
+        return rl::MakePDqnAgent(c, rng);
+      },
+      [](Rng& r) { return std::make_unique<rl::FlatXNet>(kHidden, kAMax, r); },
+      [](Rng& r) { return std::make_unique<rl::FlatQNet>(kHidden, r); });
 }
 
 TEST(RlBatchedParityTest, BatchedForwardMatchesPerSampleRows) {
-  Rng init(5);
-  rl::PdqnConfig config;
-  config.hidden = 16;
-  auto agent = rl::MakeBpDqnAgent(config, init);
-  Rng data(6);
-  std::vector<rl::AugmentedState> states;
-  for (int i = 0; i < 5; ++i) states.push_back(RandomState(data));
-  std::vector<const rl::AugmentedState*> batch;
-  for (const auto& s : states) batch.push_back(&s);
+  // BP-DQN's branched nets and P-DQN's flat ones: row i of a B=5 pass must
+  // equal the B=1 pass on state i.
+  const std::vector<MakeAgent> makers = {
+      [](const rl::PdqnConfig& c, Rng& rng) {
+        return rl::MakeBpDqnAgent(c, rng);
+      },
+      [](const rl::PdqnConfig& c, Rng& rng) {
+        return rl::MakePDqnAgent(c, rng);
+      }};
+  for (const MakeAgent& make : makers) {
+    Rng init(5);
+    rl::PdqnConfig config;
+    config.hidden = kHidden;
+    auto agent = make(config, init);
+    SCOPED_TRACE(agent->name());
+    Rng data(6);
+    std::vector<rl::AugmentedState> states;
+    for (int i = 0; i < 5; ++i) states.push_back(RandomState(data));
+    std::vector<const rl::AugmentedState*> batch;
+    for (const auto& s : states) batch.push_back(&s);
 
-  const nn::Var x_batch = agent->x_net().ForwardBatch(batch);
-  const nn::Var q_batch = agent->q_net().ForwardBatch(batch, x_batch);
-  ASSERT_EQ(x_batch.value().rows(), 5);
-  ASSERT_EQ(q_batch.value().rows(), 5);
-  for (int i = 0; i < 5; ++i) {
-    const nn::Tensor x_i = agent->ActionParams(states[i]);
-    const nn::Tensor q_i = agent->QValues(states[i], x_i);
-    for (int c = 0; c < rl::kNumBehaviors; ++c) {
-      EXPECT_DOUBLE_EQ(x_batch.value().At(i, c), x_i.At(0, c));
-      EXPECT_DOUBLE_EQ(q_batch.value().At(i, c), q_i.At(0, c));
+    const nn::Var x_batch = agent->x_net().ForwardBatch(batch);
+    const nn::Var q_batch = agent->q_net().ForwardBatch(batch, x_batch);
+    ASSERT_EQ(x_batch.value().rows(), 5);
+    ASSERT_EQ(q_batch.value().rows(), 5);
+    for (int i = 0; i < 5; ++i) {
+      const nn::Tensor x_i = agent->ActionParams(states[i]);
+      const nn::Tensor q_i = agent->QValues(states[i], x_i);
+      for (int c = 0; c < rl::kNumBehaviors; ++c) {
+        EXPECT_DOUBLE_EQ(x_batch.value().At(i, c), x_i.At(0, c));
+        EXPECT_DOUBLE_EQ(q_batch.value().At(i, c), q_i.At(0, c));
+      }
     }
   }
 }
+
+// ---- LST-GAT ----
 
 perception::PredictionSample RandomSample(Rng& rng, int z, bool any_valid) {
   perception::PredictionSample s;
@@ -141,13 +274,17 @@ perception::PredictionSample RandomSample(Rng& rng, int z, bool any_valid) {
   return s;
 }
 
-TEST(PerceptionBatchedParityTest, LstGatBatchedForwardMatchesPerSample) {
-  Rng init(9);
+perception::LstGatConfig SmallLstGatConfig() {
   perception::LstGatConfig config;
   config.d_phi1 = 8;
   config.d_phi3 = 8;
   config.d_lstm = 8;
-  perception::LstGat model(config, init);
+  return config;
+}
+
+TEST(PerceptionBatchedParityTest, LstGatBatchedForwardMatchesPerSample) {
+  Rng init(9);
+  perception::LstGat model(SmallLstGatConfig(), init);
   Rng data(10);
   std::vector<perception::PredictionSample> samples;
   for (int i = 0; i < 3; ++i) samples.push_back(RandomSample(data, 4, true));
@@ -170,11 +307,7 @@ TEST(PerceptionBatchedParityTest, LstGatBatchedForwardMatchesPerSample) {
 
 TEST(PerceptionBatchedParityTest, MixedDepthBatchFallsBackCorrectly) {
   Rng init(9);
-  perception::LstGatConfig config;
-  config.d_phi1 = 8;
-  config.d_phi3 = 8;
-  config.d_lstm = 8;
-  perception::LstGat model(config, init);
+  perception::LstGat model(SmallLstGatConfig(), init);
   Rng data(12);
   const perception::PredictionSample a = RandomSample(data, 3, true);
   const perception::PredictionSample b = RandomSample(data, 5, true);
@@ -191,15 +324,58 @@ TEST(PerceptionBatchedParityTest, MixedDepthBatchFallsBackCorrectly) {
   }
 }
 
+/// Eq. (14)'s masked scaled MSE of one sample through the B=1 forward.
+nn::Var SampleLoss(const perception::StatePredictor& model,
+                   const perception::PredictionSample& s) {
+  int valid = 0;
+  for (bool v : s.truth.valid) valid += v ? 1 : 0;
+  if (valid == 0) return nn::Var::Constant(nn::Tensor::Zeros(1, 1));
+  const nn::Var pred = model.ForwardScaled(s.graph);
+  const nn::Var truth = nn::Var::Constant(
+      perception::ScaledResidualTruth(s.graph, s.truth, model.scale()));
+  const nn::Var mask = nn::Var::Constant(perception::TruthMask(s.truth));
+  const nn::Var err = nn::Mul(nn::Sub(pred, truth), mask);
+  return nn::Scale(nn::Sum(nn::Square(err)), 1.0 / (3.0 * valid));
+}
+
+/// TrainPredictor's schedule (shuffle, minibatches, Adam, clipping) with
+/// one graph per sample; returns the per-epoch mean losses.
+std::vector<double> TrainPerSample(
+    perception::StatePredictor& model,
+    const std::vector<perception::PredictionSample>& train,
+    const perception::PredictionTrainConfig& config) {
+  nn::Adam opt(model.Params(), config.learning_rate);
+  Rng rng(config.shuffle_seed);
+  std::vector<int> order(train.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::vector<double> epoch_losses;
+  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+    std::shuffle(order.begin(), order.end(), rng.engine());
+    double epoch_loss = 0.0;
+    for (size_t b = 0; b < order.size(); b += config.batch_size) {
+      const size_t end = std::min(order.size(), b + config.batch_size);
+      nn::ResetTape();
+      opt.ZeroGrad();
+      nn::Var loss = SampleLoss(model, train[order[b]]);
+      for (size_t k = b + 1; k < end; ++k) {
+        loss = nn::Add(loss, SampleLoss(model, train[order[k]]));
+      }
+      loss = nn::Scale(loss, 1.0 / (end - b));
+      epoch_loss += loss.value()[0] * (end - b);
+      nn::Backward(loss);
+      opt.ClipGradNorm(5.0);
+      opt.Step();
+    }
+    epoch_losses.push_back(epoch_loss / train.size());
+  }
+  return epoch_losses;
+}
+
 TEST(PerceptionBatchedParityTest, TrainingMatchesPerSamplePath) {
-  perception::LstGatConfig net_config;
-  net_config.d_phi1 = 8;
-  net_config.d_phi3 = 8;
-  net_config.d_lstm = 8;
   Rng init_a(17);
   Rng init_b(17);
-  perception::LstGat model_a(net_config, init_a);
-  perception::LstGat model_b(net_config, init_b);
+  perception::LstGat model_a(SmallLstGatConfig(), init_a);
+  perception::LstGat model_b(SmallLstGatConfig(), init_b);
 
   Rng data(18);
   std::vector<perception::PredictionSample> train;
@@ -212,19 +388,13 @@ TEST(PerceptionBatchedParityTest, TrainingMatchesPerSamplePath) {
   perception::PredictionTrainConfig config;
   config.epochs = 3;
   config.batch_size = 4;  // uneven final batch of 3
-  perception::PredictionTrainConfig batched = config;
-  batched.batched = true;
-  perception::PredictionTrainConfig reference = config;
-  reference.batched = false;
 
-  const auto result_a =
-      perception::TrainPredictor(model_a, train, batched);
-  const auto result_b =
-      perception::TrainPredictor(model_b, train, reference);
+  const auto result_a = perception::TrainPredictor(model_a, train, config);
+  const std::vector<double> losses_b = TrainPerSample(model_b, train, config);
 
-  ASSERT_EQ(result_a.epoch_losses.size(), result_b.epoch_losses.size());
-  for (size_t e = 0; e < result_a.epoch_losses.size(); ++e) {
-    EXPECT_NEAR(result_a.epoch_losses[e], result_b.epoch_losses[e], kTol);
+  ASSERT_EQ(result_a.epoch_losses.size(), losses_b.size());
+  for (size_t e = 0; e < losses_b.size(); ++e) {
+    EXPECT_NEAR(result_a.epoch_losses[e], losses_b[e], kTol);
   }
   ExpectParamsNear(model_a.Params(), model_b.Params());
 }

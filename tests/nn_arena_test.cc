@@ -38,7 +38,6 @@ std::vector<nn::Tensor> BpDqnUpdateParams() {
   config.batch_size = 8;
   config.warmup_transitions = 8;
   config.buffer_capacity = 64;
-  config.batched_updates = true;
   Rng init(11);
   auto agent = rl::MakeBpDqnAgent(config, init);
   Rng data(21);
@@ -94,7 +93,6 @@ std::vector<nn::Tensor> LstGatUpdateParams() {
   perception::PredictionTrainConfig config;
   config.epochs = 1;
   config.batch_size = 4;
-  config.batched = true;
   perception::TrainPredictor(model, train, config);
   std::vector<nn::Tensor> out;
   for (const nn::Var& p : model.Params()) out.push_back(p.value());

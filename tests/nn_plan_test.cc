@@ -7,10 +7,9 @@
 // forward-only plan must be safe to replay concurrently from EnvPool
 // workers (the TSan stage checks the data-race half of that claim).
 //
-// The parity tests toggle the config switches (PdqnConfig::static_plans,
-// PredictionTrainConfig::static_plans, StatePredictor::set_static_plans),
-// so they stay meaningful under HEAD_PLANS=0 as well: both sides then run
-// eagerly and the suite degenerates to eager-vs-eager self-consistency.
+// The parity tests run their eager side under nn::ScopedPlansOff, so they
+// stay meaningful under HEAD_PLANS=0 as well: both sides then run eagerly
+// and the suite degenerates to eager-vs-eager self-consistency.
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -150,6 +149,32 @@ TEST(ExecPlanTest, SteadyStateReplayAllocatesNothing) {
       << "replay must not create arena nodes or miss the tensor pool";
 }
 
+TEST(ExecPlanTest, WorkerReplayContextDoesNotPinDroppedPlan) {
+  // A pool worker caches a replay context per plan. It must not keep a plan
+  // alive once the plan's last owner (a torn-down model) drops it: the plan
+  // is freed, and the worker sweeps the dead context at its next miss.
+  Rng rng(12);
+  const nn::Var w = nn::Var::Param(nn::Tensor::XavierUniform(4, 4, rng));
+  const nn::NoGradGuard no_grad;
+  const auto capture_plan = [&w] {
+    nn::ResetTape();
+    nn::PlanCapture capture;
+    return capture.Finish(
+        {nn::Relu(nn::MatMul(nn::PlanInput(nn::Tensor::Zeros(1, 4)), w))});
+  };
+  parallel::ThreadPool pool(2);
+  std::shared_ptr<const nn::ExecPlan> plan = capture_plan();
+  const std::weak_ptr<const nn::ExecPlan> watch = plan;
+  pool.Submit([&plan] { plan->Replay({nn::Tensor::Zeros(1, 4)}); }).get();
+  plan.reset();  // the last owner goes away
+
+  // The next miss on a worker: a plan it has never replayed.
+  const std::shared_ptr<const nn::ExecPlan> next = capture_plan();
+  pool.Submit([&next] { next->Replay({nn::Tensor::Zeros(1, 4)}); }).get();
+  EXPECT_TRUE(watch.expired())
+      << "a worker's replay context still owns the dropped plan";
+}
+
 // ---- Full BP-DQN update parity ----
 
 rl::AugmentedState RandomState(Rng& rng) {
@@ -161,14 +186,13 @@ rl::AugmentedState RandomState(Rng& rng) {
 
 /// Several BP-DQN updates (first captures, the rest replay) with fixed
 /// seeds; returns every parameter tensor afterwards.
-std::vector<nn::Tensor> BpDqnParams(bool static_plans) {
+std::vector<nn::Tensor> BpDqnParams(bool plans) {
+  const nn::ScopedPlansOff plans_off(/*active=*/!plans);
   rl::PdqnConfig config;
   config.hidden = 16;
   config.batch_size = 8;
   config.warmup_transitions = 8;
   config.buffer_capacity = 64;
-  config.batched_updates = true;
-  config.static_plans = static_plans;
   Rng init(11);
   auto agent = rl::MakeBpDqnAgent(config, init);
   Rng data(21);
@@ -193,8 +217,8 @@ std::vector<nn::Tensor> BpDqnParams(bool static_plans) {
 TEST(PlanParityTest, BpDqnUpdatesBitwiseEqualPlansOnVsOff) {
   for (const bool fast_math : {false, true}) {
     FastMathScope scope(fast_math);
-    ExpectBitwiseEqual(BpDqnParams(/*static_plans=*/true),
-                       BpDqnParams(/*static_plans=*/false));
+    ExpectBitwiseEqual(BpDqnParams(/*plans=*/true),
+                       BpDqnParams(/*plans=*/false));
   }
 }
 
@@ -203,9 +227,7 @@ TEST(PlanParityTest, BpDqnGreedyActBitwiseEqualPlansOnVsOff) {
   config.hidden = 16;
   Rng init_a(11);
   Rng init_b(11);
-  config.static_plans = true;
   auto with_plans = rl::MakeBpDqnAgent(config, init_a);
-  config.static_plans = false;
   auto eager = rl::MakeBpDqnAgent(config, init_b);
   Rng data(41);
   Rng rng_a(3);
@@ -213,7 +235,10 @@ TEST(PlanParityTest, BpDqnGreedyActBitwiseEqualPlansOnVsOff) {
   for (int i = 0; i < 6; ++i) {  // first iteration captures, the rest replay
     const rl::AugmentedState s = RandomState(data);
     const rl::AgentAction a = with_plans->Act(s, /*epsilon=*/0.0, rng_a);
-    const rl::AgentAction b = eager->Act(s, /*epsilon=*/0.0, rng_b);
+    const rl::AgentAction b = [&] {
+      const nn::ScopedPlansOff off;
+      return eager->Act(s, /*epsilon=*/0.0, rng_b);
+    }();
     EXPECT_EQ(a.behavior, b.behavior) << "step " << i;
     ASSERT_EQ(a.params.size(), b.params.size());
     for (int c = 0; c < a.params.size(); ++c) {
@@ -256,7 +281,8 @@ perception::LstGat SmallLstGat(uint64_t seed) {
 /// Two LST-GAT training epochs (epoch 1 captures each batch shape, epoch 2
 /// replays) with fixed seeds; `mixed_depth` plants samples whose history
 /// depth differs, forcing every batch onto the eager fallback.
-std::vector<nn::Tensor> LstGatParams(bool static_plans, bool mixed_depth) {
+std::vector<nn::Tensor> LstGatParams(bool plans, bool mixed_depth) {
+  const nn::ScopedPlansOff plans_off(/*active=*/!plans);
   perception::LstGat model = SmallLstGat(17);
   Rng data(18);
   std::vector<perception::PredictionSample> train;
@@ -266,8 +292,6 @@ std::vector<nn::Tensor> LstGatParams(bool static_plans, bool mixed_depth) {
   perception::PredictionTrainConfig config;
   config.epochs = 2;
   config.batch_size = 3;
-  config.batched = true;
-  config.static_plans = static_plans;
   perception::TrainPredictor(model, train, config);
   std::vector<nn::Tensor> out;
   for (const nn::Var& p : model.Params()) out.push_back(p.value());
@@ -277,16 +301,16 @@ std::vector<nn::Tensor> LstGatParams(bool static_plans, bool mixed_depth) {
 TEST(PlanParityTest, LstGatEpochBitwiseEqualPlansOnVsOff) {
   for (const bool fast_math : {false, true}) {
     FastMathScope scope(fast_math);
-    ExpectBitwiseEqual(LstGatParams(/*static_plans=*/true, false),
-                       LstGatParams(/*static_plans=*/false, false));
+    ExpectBitwiseEqual(LstGatParams(/*plans=*/true, false),
+                       LstGatParams(/*plans=*/false, false));
   }
 }
 
 TEST(PlanParityTest, MixedDepthBatchesFallBackToEagerBitwise) {
   // With mixed history depths no batch is plan-eligible; the plans-on run
   // must silently take the eager path and match the plans-off run exactly.
-  ExpectBitwiseEqual(LstGatParams(/*static_plans=*/true, true),
-                     LstGatParams(/*static_plans=*/false, true));
+  ExpectBitwiseEqual(LstGatParams(/*plans=*/true, true),
+                     LstGatParams(/*plans=*/false, true));
 }
 
 TEST(PlanParityTest, SharedPlanCachePersistsAcrossCallsBitwise) {
@@ -301,8 +325,6 @@ TEST(PlanParityTest, SharedPlanCachePersistsAcrossCallsBitwise) {
     perception::PredictionTrainConfig config;
     config.epochs = 1;
     config.batch_size = 3;
-    config.batched = true;
-    config.static_plans = true;
     config.plan_cache = cache;
     perception::TrainPredictor(model, train, config);
     perception::TrainPredictor(model, train, config);
@@ -321,14 +343,16 @@ TEST(PlanParityTest, SharedPlanCachePersistsAcrossCallsBitwise) {
 TEST(PlanParityTest, PredictBitwiseEqualPlansOnVsOffAcrossDepths) {
   perception::LstGat with_plans = SmallLstGat(17);
   perception::LstGat eager = SmallLstGat(17);
-  eager.set_static_plans(false);
   Rng data(19);
   // Repeats per depth exercise replay; two depths exercise the per-z cache.
   for (const int z : {3, 4, 3}) {
     for (int i = 0; i < 2; ++i) {
       const perception::PredictionSample s = RandomSample(data, z);
       const perception::Prediction a = with_plans.Predict(s.graph);
-      const perception::Prediction b = eager.Predict(s.graph);
+      const perception::Prediction b = [&] {
+        const nn::ScopedPlansOff off;
+        return eager.Predict(s.graph);
+      }();
       for (int t = 0; t < perception::kNumAreas; ++t) {
         EXPECT_EQ(a[t].d_lat_m, b[t].d_lat_m) << "z=" << z << " target " << t;
         EXPECT_EQ(a[t].d_lon_m, b[t].d_lon_m) << "z=" << z << " target " << t;
@@ -350,11 +374,11 @@ rl::EnvConfig SmallEnv() {
   return c;
 }
 
-std::vector<parallel::EnvPool::EpisodeResult> RolloutResults(
-    bool static_plans) {
+std::vector<parallel::EnvPool::EpisodeResult> RolloutResults(bool plans) {
+  // Process-wide, so the EnvPool workers' Act calls see it too.
+  const nn::ScopedPlansOff plans_off(/*active=*/!plans);
   rl::PdqnConfig config;
   config.hidden = 16;
-  config.static_plans = static_plans;
   Rng rng(77);
   auto agent = rl::MakeBpDqnAgent(config, rng);
   parallel::ThreadPool pool(4);
@@ -373,8 +397,8 @@ std::vector<parallel::EnvPool::EpisodeResult> RolloutResults(
 }
 
 TEST(PlanConcurrencyTest, SharedActPlansAreImmutableUnderEnvPoolReplay) {
-  const auto with_plans = RolloutResults(/*static_plans=*/true);
-  const auto eager = RolloutResults(/*static_plans=*/false);
+  const auto with_plans = RolloutResults(/*plans=*/true);
+  const auto eager = RolloutResults(/*plans=*/false);
   ASSERT_EQ(with_plans.size(), eager.size());
   for (size_t i = 0; i < eager.size(); ++i) {
     EXPECT_EQ(with_plans[i].steps, eager[i].steps) << "episode " << i;

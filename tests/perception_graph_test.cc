@@ -1,6 +1,10 @@
 // Spatial-temporal graph construction and the prediction models: feature
 // encoding, network shapes, attention normalization, parallel output, and
 // learnability (overfit a tiny dataset).
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "perception/baselines/ed_lstm.h"
@@ -101,6 +105,70 @@ TEST(LstGatTest, AttentionWeightsFormDistribution) {
       sum += a;
     }
     EXPECT_NEAR(sum, 1.0, 1e-9);
+  }
+}
+
+/// Eq. (10) in plain double loops, independent of the nn ops: for target i
+/// at the newest step, e_x = φ1ᵀh_x for each of its 7 nodes, score_x =
+/// LeakyReLU(φ2ᵀ[e_i ‖ e_x]), α = softmax(score).
+std::vector<double> AttentionOracle(const LstGat& model, const StGraph& graph,
+                                    int i) {
+  const std::vector<nn::Var> params = model.Params();
+  const nn::Tensor& phi1 = params[0].value();  // (4 × D_φ1)
+  const nn::Tensor& phi2 = params[1].value();  // (2·D_φ1 × 1)
+  const int d = phi1.cols();
+  const auto& nodes = graph.steps.back().feat[i];
+  std::vector<std::vector<double>> embed(kNodesPerTarget,
+                                         std::vector<double>(d, 0.0));
+  for (int n = 0; n < kNodesPerTarget; ++n) {
+    for (int c = 0; c < d; ++c) {
+      for (int f = 0; f < kFeatureDim; ++f) {
+        embed[n][c] += nodes[n][f] * phi1.At(f, c);
+      }
+    }
+  }
+  std::vector<double> score(kNodesPerTarget);
+  for (int n = 0; n < kNodesPerTarget; ++n) {
+    double e = 0.0;
+    for (int c = 0; c < d; ++c) {
+      e += phi2.At(c, 0) * embed[0][c] + phi2.At(d + c, 0) * embed[n][c];
+    }
+    score[n] = e > 0.0 ? e : model.config().leaky_slope * e;
+  }
+  const double top = *std::max_element(score.begin(), score.end());
+  double sum = 0.0;
+  for (double& e : score) sum += (e = std::exp(e - top));
+  for (double& e : score) e /= sum;
+  return score;
+}
+
+TEST(LstGatTest, AttentionWeightsMatchEquationTenOracle) {
+  Rng rng(3);
+  const LstGat model(LstGatConfig{}, rng);
+  const StGraph graph = MovingGraph();
+  for (int i = 0; i < kNumAreas; ++i) {
+    const std::vector<double> alpha = model.AttentionWeights(graph, i);
+    const std::vector<double> oracle = AttentionOracle(model, graph, i);
+    ASSERT_EQ(alpha.size(), oracle.size());
+    for (int n = 0; n < kNodesPerTarget; ++n) {
+      EXPECT_NEAR(alpha[n], oracle[n], 1e-12)
+          << "target " << i << " node " << n;
+    }
+  }
+}
+
+TEST(LstGatTest, AttentionWeightsAreUniformWithAttentionOff) {
+  // The ablation replaces Eq. (10) with mean aggregation; the reported
+  // weights must be the 1/7 the forward pass actually applies.
+  Rng rng(3);
+  LstGatConfig config;
+  config.use_attention = false;
+  const LstGat model(config, rng);
+  const StGraph graph = MovingGraph();
+  for (int i = 0; i < kNumAreas; ++i) {
+    for (double a : model.AttentionWeights(graph, i)) {
+      EXPECT_DOUBLE_EQ(a, 1.0 / kNodesPerTarget) << "target " << i;
+    }
   }
 }
 

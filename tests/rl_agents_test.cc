@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "rl/drl_sc.h"
-#include "rl/mp_dqn.h"
 #include "rl/p_ddpg.h"
 #include "rl/pdqn_agent.h"
 #include "rl/replay_buffer.h"
@@ -132,29 +131,6 @@ TEST(PdqnAgentTest, BpDqnCriticLearnsConstantReward) {
 
 TEST(PdqnAgentTest, PDqnCriticLearnsConstantReward) {
   ExpectCriticLearns([](Rng& r) { return MakePDqnAgent(SmallConfig(), r); });
-}
-
-TEST(MpDqnTest, MaskedCriticIgnoresOtherParameters) {
-  // Changing the parameter of an action must not change the other actions'
-  // Q values — the property MP-DQN exists to guarantee.
-  Rng init(9);
-  MultiPassQNet critic(16, init);
-  Rng rng(10);
-  AugmentedState s = RandomState(rng);
-  nn::Tensor x1(1, kNumBehaviors, {1.0, -2.0, 0.5});
-  nn::Tensor x2 = x1;
-  x2.At(0, 0) = -3.0;  // perturb only the `ll` parameter
-  const nn::Tensor q1 =
-      critic.Forward(s, nn::Var::Constant(x1)).value();
-  const nn::Tensor q2 =
-      critic.Forward(s, nn::Var::Constant(x2)).value();
-  EXPECT_NE(q1.At(0, 0), q2.At(0, 0));
-  EXPECT_DOUBLE_EQ(q1.At(0, 1), q2.At(0, 1));
-  EXPECT_DOUBLE_EQ(q1.At(0, 2), q2.At(0, 2));
-}
-
-TEST(MpDqnTest, AgentLearnsConstantReward) {
-  ExpectCriticLearns([](Rng& r) { return MakeMpDqnAgent(SmallConfig(), r); });
 }
 
 TEST(PdqnAgentTest, PQpAlternatesPhases) {

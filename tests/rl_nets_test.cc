@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "rl/mp_dqn.h"
-
 namespace head::rl {
 namespace {
 
@@ -70,11 +68,12 @@ TEST(BpQNetTest, BranchEncoderOutputsDependOnEveryVehicleRow) {
   Rng srng(8);
   nn::Tensor block =
       nn::Tensor::Uniform(kStateHRows, kStateCols, -1.0, 1.0, srng);
-  const nn::Tensor base = enc.Forward(block).value();
+  const nn::Tensor base = enc.ForwardStacked(block, /*batch=*/1).value();
   for (int r = 0; r < kStateHRows; ++r) {
     nn::Tensor perturbed = block;
     perturbed.At(r, 1) += 0.5;
-    const nn::Tensor out = enc.Forward(perturbed).value();
+    const nn::Tensor out =
+        enc.ForwardStacked(perturbed, /*batch=*/1).value();
     // Only the per-vehicle scalar of the perturbed row may change.
     for (int c = 0; c < kStateHRows; ++c) {
       if (c == r) {
@@ -98,20 +97,6 @@ TEST(FlatNetsTest, ShapesMatchContract) {
   const nn::Var qv = q.Forward(s, xv);
   EXPECT_EQ(qv.value().rows(), 1);
   EXPECT_EQ(qv.value().cols(), kNumBehaviors);
-}
-
-TEST(MultiPassTest, GradientOnlyFlowsThroughOwnParameter) {
-  Rng rng(11);
-  MultiPassQNet q(16, rng);
-  Rng srng(12);
-  const AugmentedState s = RandomState(srng);
-  nn::Var x = nn::Var::Param(nn::Tensor(1, kNumBehaviors, {1.0, -1.0, 0.5}));
-  const nn::Var q_all = q.Forward(s, x);
-  // Backprop only through Q of behavior 1: x gradients for behaviors 0 and
-  // 2 must be exactly zero (the multi-pass property).
-  nn::Backward(nn::Sum(nn::SliceCols(q_all, 1, 2)));
-  EXPECT_DOUBLE_EQ(x.grad().At(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(x.grad().At(0, 2), 0.0);
 }
 
 }  // namespace

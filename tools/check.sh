@@ -90,7 +90,6 @@ if [[ "${HEAD_SKIP_PERF:-0}" != "1" ]]; then
   PERF_THREADS="${HEAD_PERF_THREADS:-1}"
   echo "== perf smoke: training throughput (--threads=${PERF_THREADS}) vs checked-in baseline =="
   "${PERF_BUILD_DIR}/bench/training_throughput" \
-    --skip-per-sample \
     --threads="${PERF_THREADS}" \
     --json-out="${PERF_BUILD_DIR}/BENCH_training_throughput.json" \
     --metrics-out="${PERF_BUILD_DIR}/BENCH_metrics.json" \
@@ -146,7 +145,7 @@ if [[ "${HEAD_SKIP_PROFILE:-0}" != "1" ]]; then
 
   echo "== op-profile: record (--threads=1, coverage >= 95%) and diff vs baseline =="
   "${PROFILE_BUILD_DIR}/bench/training_throughput" \
-    --skip-per-sample --skip-gemm --trials=1 --threads=1 \
+    --skip-gemm --trials=1 --threads=1 \
     --profile-out="${PROFILE_BUILD_DIR}/BENCH_profile.json" \
     --min-profile-coverage=0.95 > /dev/null
   python3 tools/profile_diff.py \
@@ -158,7 +157,7 @@ fi
 
 if [[ "${HEAD_SKIP_PLANS:-0}" != "1" ]]; then
   # Plans-off suite: the whole test battery with HEAD_PLANS=0, so every
-  # static_plans call site takes its eager fallback. Shares the optimized
+  # plan call site takes its eager fallback. Shares the optimized
   # tree with the perf/smoke/profile stages; building the remaining test
   # targets there is incremental.
   PLANS_BUILD_DIR="build-perf"
