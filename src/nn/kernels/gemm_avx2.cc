@@ -22,7 +22,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <vector>
 
 #include "nn/kernels/kernel_table.h"
 
@@ -79,8 +78,162 @@ inline double Dot4(int k, const double* a, const double* b) {
   return s;
 }
 
-// ---- Unpacked row-range kernels (small-m path; same per-element fold as
-// the packed microkernel) ----
+// ---- The register-blocked microkernel behind every n > 1 route ----
+
+#define HEAD_KERNEL_INLINE [[gnu::always_inline]] inline
+
+/// One 8-column row slice of the accumulator block, as two 4-lane halves.
+struct Lanes {
+  __m256d lo, hi;
+};
+
+/// Lane masks for the live columns of a partial 8-column panel.
+struct PanelMask {
+  __m256i lo, hi;
+};
+
+inline PanelMask MaskFor(int cols) {
+  const int lo = cols < 4 ? cols : 4;
+  return {TailMask(lo), TailMask(cols - lo)};
+}
+
+HEAD_KERNEL_INLINE Lanes LoadFull(const double* p) {
+  return {_mm256_loadu_pd(p), _mm256_loadu_pd(p + 4)};
+}
+
+HEAD_KERNEL_INLINE Lanes LoadMasked(const double* p, PanelMask m) {
+  return {_mm256_maskload_pd(p, m.lo), _mm256_maskload_pd(p + 4, m.hi)};
+}
+
+HEAD_KERNEL_INLINE Lanes Load(const double* p, bool full, PanelMask m) {
+  return full ? LoadFull(p) : LoadMasked(p, m);
+}
+
+HEAD_KERNEL_INLINE void Store(double* p, Lanes v, bool full, PanelMask m) {
+  if (full) {
+    _mm256_storeu_pd(p, v.lo);
+    _mm256_storeu_pd(p + 4, v.hi);
+  } else {
+    _mm256_maskstore_pd(p, m.lo, v.lo);
+    _mm256_maskstore_pd(p + 4, m.hi, v.hi);
+  }
+}
+
+HEAD_KERNEL_INLINE void Fma(double a, Lanes b, Lanes& acc) {
+  const __m256d va = _mm256_set1_pd(a);
+  acc.lo = _mm256_fmadd_pd(va, b.lo, acc.lo);
+  acc.hi = _mm256_fmadd_pd(va, b.hi, acc.hi);
+}
+
+/// One R×8 output block (R ≤ 4 rows, one 8-column panel), the body shared
+/// by the packed and the in-place routes. The 2R accumulators are named
+/// locals touched only at compile-time row indices, so they stay in ymm
+/// registers at -O2 as well as -O3. (An `acc[4][2]` array walked by a
+/// runtime row loop is not: at -O2 GCC 12 keeps it on the stack and every
+/// fma reads and writes memory.)
+///
+/// A is read in place: row r, step kk is a[r·a_row_stride + kk·a_k_stride].
+/// B step kk is the 8 doubles at b + kk·ldb: either a zero-padded packed
+/// panel (ldb = 8) or row-major B itself (ldb = n). `cols` < 8 marks the
+/// partial last panel, whose C stores are masked; with kMaskB its B and
+/// bias loads are masked too (unpadded operands). K > 0 fixes k at compile
+/// time. Each output lane folds fma(a[r,kk], b[kk,j], acc) over kk
+/// ascending from the init seed — the file-header invariant.
+template <int R, bool kMaskB, int K>
+HEAD_KERNEL_INLINE void MicroKernel(int k, const double* a,
+                                    size_t a_row_stride, size_t a_k_stride,
+                                    const double* b, size_t ldb,
+                                    const double* bias, GemmInit init,
+                                    double* c, size_t ldc, int cols) {
+  static_assert(R >= 1 && R <= kMr);
+  const bool full = cols == kPanelWidth;
+  const PanelMask mask = full ? PanelMask{} : MaskFor(cols);
+  Lanes c0{}, c1{}, c2{}, c3{};
+  if (init == GemmInit::kBias) {
+    c0 = kMaskB ? LoadMasked(bias, mask) : LoadFull(bias);
+    c1 = c2 = c3 = c0;
+  } else if (init == GemmInit::kAccumulate) {
+    c0 = Load(c, full, mask);
+    if constexpr (R > 1) c1 = Load(c + ldc, full, mask);
+    if constexpr (R > 2) c2 = Load(c + 2 * ldc, full, mask);
+    if constexpr (R > 3) c3 = Load(c + 3 * ldc, full, mask);
+  }
+  const int steps = K > 0 ? K : k;
+  // -O2 does not unroll this loop by itself; its control rivals the 2R
+  // fmas of one step (64³: ~24 GFLOP/s without the pragma, ~32 with it).
+#pragma GCC unroll 8
+  for (int kk = 0; kk < steps; ++kk) {
+    const double* bk = b + static_cast<size_t>(kk) * ldb;
+    const Lanes bv = kMaskB ? LoadMasked(bk, mask) : LoadFull(bk);
+    const double* ak = a + static_cast<size_t>(kk) * a_k_stride;
+    Fma(ak[0], bv, c0);
+    if constexpr (R > 1) Fma(ak[a_row_stride], bv, c1);
+    if constexpr (R > 2) Fma(ak[2 * a_row_stride], bv, c2);
+    if constexpr (R > 3) Fma(ak[3 * a_row_stride], bv, c3);
+  }
+  Store(c, c0, full, mask);
+  if constexpr (R > 1) Store(c + ldc, c1, full, mask);
+  if constexpr (R > 2) Store(c + 2 * ldc, c2, full, mask);
+  if constexpr (R > 3) Store(c + 3 * ldc, c3, full, mask);
+}
+
+/// One R-row strip of C across every 8-column panel. kInPlaceB: B is
+/// row-major (k×n) and unpadded, so the last partial panel masks its B and
+/// bias loads; otherwise B and bias are the zero-padded packed panels.
+template <int R, bool kInPlaceB, int K>
+void RowStrip(int n, int k, const double* a, size_t a_row_stride,
+              size_t a_k_stride, const double* b, const double* bias,
+              GemmInit init, double* c) {
+  const size_t ldb = kInPlaceB ? static_cast<size_t>(n) : kPanelWidth;
+  const size_t panel_step =
+      kInPlaceB ? kPanelWidth : static_cast<size_t>(k) * kPanelWidth;
+  for (int j0 = 0, p = 0; j0 < n; j0 += kPanelWidth, ++p) {
+    const int cols = n - j0 < kPanelWidth ? n - j0 : kPanelWidth;
+    const double* bpanel = b + static_cast<size_t>(p) * panel_step;
+    const double* bias_j = bias == nullptr ? nullptr : bias + j0;
+    if (kInPlaceB && cols < kPanelWidth) {
+      MicroKernel<R, kInPlaceB, K>(k, a, a_row_stride, a_k_stride, bpanel,
+                                   ldb, bias_j, init, c + j0,
+                                   static_cast<size_t>(n), cols);
+    } else {
+      MicroKernel<R, false, K>(k, a, a_row_stride, a_k_stride, bpanel, ldb,
+                               bias_j, init, c + j0, static_cast<size_t>(n),
+                               cols);
+    }
+  }
+}
+
+/// C(m×n) ⟵ init ⊕ A·B in 4-row strips plus one strip of the m mod 4 rows
+/// left over, each at its own R (no zero-padded rows, no scalar tail).
+template <bool kInPlaceB, int K = 0>
+void GemmBlocked(int m, int n, int k, const double* a, size_t a_row_stride,
+                 size_t a_k_stride, const double* b, const double* bias,
+                 GemmInit init, double* c) {
+  for (int i0 = 0; i0 < m; i0 += kMr) {
+    const double* ai = a + static_cast<size_t>(i0) * a_row_stride;
+    double* ci = c + static_cast<size_t>(i0) * n;
+    switch (m - i0 < kMr ? m - i0 : kMr) {
+      case 4:
+        RowStrip<4, kInPlaceB, K>(n, k, ai, a_row_stride, a_k_stride, b, bias,
+                                  init, ci);
+        break;
+      case 3:
+        RowStrip<3, kInPlaceB, K>(n, k, ai, a_row_stride, a_k_stride, b, bias,
+                                  init, ci);
+        break;
+      case 2:
+        RowStrip<2, kInPlaceB, K>(n, k, ai, a_row_stride, a_k_stride, b, bias,
+                                  init, ci);
+        break;
+      default:
+        RowStrip<1, kInPlaceB, K>(n, k, ai, a_row_stride, a_k_stride, b, bias,
+                                  init, ci);
+        break;
+    }
+  }
+}
+
+// ---- Unpacked row-range kernels (small-m path: B read in place) ----
 
 void Avx2GemmNN(int m, int n, int k, const double* a, const double* b,
                 const double* bias, GemmInit init, double* c) {
@@ -95,28 +248,8 @@ void Avx2GemmNN(int m, int n, int k, const double* a, const double* b,
     }
     return;
   }
-  const int n4 = n & ~3;
-  for (int i = 0; i < m; ++i) {
-    const double* arow = a + static_cast<size_t>(i) * k;
-    double* orow = c + static_cast<size_t>(i) * n;
-    if (init == GemmInit::kZero) {
-      std::memset(orow, 0, static_cast<size_t>(n) * sizeof(double));
-    } else if (init == GemmInit::kBias) {
-      std::memcpy(orow, bias, static_cast<size_t>(n) * sizeof(double));
-    }
-    for (int kk = 0; kk < k; ++kk) {
-      const __m256d va = _mm256_set1_pd(arow[kk]);
-      const double aik = arow[kk];
-      const double* brow = b + static_cast<size_t>(kk) * n;
-      int j = 0;
-      for (; j < n4; j += 4) {
-        const __m256d vo = _mm256_loadu_pd(orow + j);
-        _mm256_storeu_pd(orow + j,
-                         _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + j), vo));
-      }
-      for (; j < n; ++j) orow[j] = std::fma(aik, brow[j], orow[j]);
-    }
-  }
+  GemmBlocked</*kInPlaceB=*/true>(m, n, k, a, /*a_row_stride=*/k,
+                                  /*a_k_stride=*/1, b, bias, init, c);
 }
 
 void Avx2GemmTN(int m, int n, int k, const double* a, int lda, const double* b,
@@ -140,28 +273,11 @@ void Avx2GemmTN(int m, int n, int k, const double* a, int lda, const double* b,
     }
     return;
   }
-  // Strided-broadcast ikj (A columns walked with stride lda). The dispatch
-  // layer prefers the packed path for this variant; kept for completeness
-  // with the same per-element fold.
-  const int n4 = n & ~3;
-  for (int i = 0; i < m; ++i) {
-    double* orow = c + static_cast<size_t>(i) * n;
-    if (init != GemmInit::kAccumulate) {
-      std::memset(orow, 0, static_cast<size_t>(n) * sizeof(double));
-    }
-    for (int kk = 0; kk < k; ++kk) {
-      const double aki = a[static_cast<size_t>(kk) * lda + i];
-      const __m256d va = _mm256_set1_pd(aki);
-      const double* brow = b + static_cast<size_t>(kk) * n;
-      int j = 0;
-      for (; j < n4; j += 4) {
-        const __m256d vo = _mm256_loadu_pd(orow + j);
-        _mm256_storeu_pd(orow + j,
-                         _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + j), vo));
-      }
-      for (; j < n; ++j) orow[j] = std::fma(aki, brow[j], orow[j]);
-    }
-  }
+  // Output rows are A columns: rows walk stride 1, k walks stride lda. The
+  // dispatch layer prefers the packed path for this variant.
+  GemmBlocked</*kInPlaceB=*/true>(
+      m, n, k, a, /*a_row_stride=*/1, /*a_k_stride=*/lda, b, /*bias=*/nullptr,
+      init == GemmInit::kAccumulate ? init : GemmInit::kZero, c);
 }
 
 void Avx2GemmNT(int m, int n, int k, const double* a, const double* b,
@@ -212,200 +328,30 @@ void Avx2PackBias(int n, const double* bias, double* bias_p) {
   for (int j = n; j < padded; ++j) bias_p[j] = 0.0;
 }
 
-/// 4×8 register-blocked microkernel over one packed panel: 8 accumulator
-/// ymm (4 rows × 2 halves), one broadcast per (row, k), two panel loads per
-/// k. `rows` ≤ 4 live rows are loaded/stored; the A panel is zero-padded to
-/// 4 rows so the fma stream is branch-free.
-inline void MicroKernel4x8(int rows, int k, const double* ap,
-                           const double* panel, const double* bias_panel,
-                           GemmInit init, double* c, int ldc, int cols,
-                           __m256i colmask_lo, __m256i colmask_hi) {
-  __m256d acc[kMr][2];
-  if (init == GemmInit::kBias) {
-    const __m256d b0 = _mm256_loadu_pd(bias_panel);
-    const __m256d b1 = _mm256_loadu_pd(bias_panel + 4);
-    for (int r = 0; r < kMr; ++r) {
-      acc[r][0] = b0;
-      acc[r][1] = b1;
-    }
-  } else if (init == GemmInit::kAccumulate) {
-    for (int r = 0; r < kMr; ++r) {
-      if (r < rows) {
-        double* crow = c + static_cast<size_t>(r) * ldc;
-        if (cols == kPanelWidth) {
-          acc[r][0] = _mm256_loadu_pd(crow);
-          acc[r][1] = _mm256_loadu_pd(crow + 4);
-        } else {
-          acc[r][0] = _mm256_maskload_pd(crow, colmask_lo);
-          acc[r][1] = _mm256_maskload_pd(crow + 4, colmask_hi);
-        }
-      } else {
-        acc[r][0] = _mm256_setzero_pd();
-        acc[r][1] = _mm256_setzero_pd();
-      }
-    }
-  } else {
-    for (int r = 0; r < kMr; ++r) {
-      acc[r][0] = _mm256_setzero_pd();
-      acc[r][1] = _mm256_setzero_pd();
-    }
-  }
-  for (int kk = 0; kk < k; ++kk) {
-    const __m256d b0 = _mm256_loadu_pd(panel + static_cast<size_t>(kk) * 8);
-    const __m256d b1 =
-        _mm256_loadu_pd(panel + static_cast<size_t>(kk) * 8 + 4);
-    const double* arow = ap + static_cast<size_t>(kk) * kMr;
-    for (int r = 0; r < kMr; ++r) {
-      const __m256d va = _mm256_set1_pd(arow[r]);
-      acc[r][0] = _mm256_fmadd_pd(va, b0, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_pd(va, b1, acc[r][1]);
-    }
-  }
-  for (int r = 0; r < rows; ++r) {
-    double* crow = c + static_cast<size_t>(r) * ldc;
-    if (cols == kPanelWidth) {
-      _mm256_storeu_pd(crow, acc[r][0]);
-      _mm256_storeu_pd(crow + 4, acc[r][1]);
-    } else {
-      _mm256_maskstore_pd(crow, colmask_lo, acc[r][0]);
-      _mm256_maskstore_pd(crow + 4, colmask_hi, acc[r][1]);
-    }
-  }
-}
-
-/// Small-k variant of the packed path. At k ≤ 8 a 4×8 block is only 32
-/// fmas, so the generic path's per-quad A-packing, runtime k-loop control,
-/// and tail-mask setup rival the arithmetic itself. This kernel requires
-/// contiguous row-major A (a_row_stride == K, a_k_stride == 1) so rows are
-/// read in place, fully unrolls the k loop at compile time, and handles
-/// only whole panels (n % 8 == 0) so every store is a plain storeu. The
-/// accumulation is the same per-element k-ordered fold over the same
-/// packed panels as MicroKernel4x8 — bitwise-identical output; taking this
-/// path is purely a performance choice (see file header).
-template <int K>
-void Avx2GemmPackedSmallK(int m, int n, const double* a, const double* bp,
-                          const double* bias_p, GemmInit init, double* c) {
-  const int panels = n / kPanelWidth;
-  int i0 = 0;
-  for (; i0 + kMr <= m; i0 += kMr) {
-    const double* arow = a + static_cast<size_t>(i0) * K;
-    double* cblock = c + static_cast<size_t>(i0) * n;
-    for (int p = 0; p < panels; ++p) {
-      const double* panel = bp + static_cast<size_t>(p) * K * kPanelWidth;
-      double* c0 = cblock + static_cast<size_t>(p) * kPanelWidth;
-      __m256d acc[kMr][2];
-      if (init == GemmInit::kBias) {
-        const __m256d b0 =
-            _mm256_loadu_pd(bias_p + static_cast<size_t>(p) * kPanelWidth);
-        const __m256d b1 =
-            _mm256_loadu_pd(bias_p + static_cast<size_t>(p) * kPanelWidth + 4);
-        for (int r = 0; r < kMr; ++r) {
-          acc[r][0] = b0;
-          acc[r][1] = b1;
-        }
-      } else if (init == GemmInit::kAccumulate) {
-        for (int r = 0; r < kMr; ++r) {
-          acc[r][0] = _mm256_loadu_pd(c0 + static_cast<size_t>(r) * n);
-          acc[r][1] = _mm256_loadu_pd(c0 + static_cast<size_t>(r) * n + 4);
-        }
-      } else {
-        for (int r = 0; r < kMr; ++r) {
-          acc[r][0] = _mm256_setzero_pd();
-          acc[r][1] = _mm256_setzero_pd();
-        }
-      }
-#pragma GCC unroll 8
-      for (int kk = 0; kk < K; ++kk) {
-        const __m256d b0 =
-            _mm256_loadu_pd(panel + static_cast<size_t>(kk) * kPanelWidth);
-        const __m256d b1 =
-            _mm256_loadu_pd(panel + static_cast<size_t>(kk) * kPanelWidth + 4);
-        for (int r = 0; r < kMr; ++r) {
-          const __m256d va = _mm256_set1_pd(arow[static_cast<size_t>(r) * K + kk]);
-          acc[r][0] = _mm256_fmadd_pd(va, b0, acc[r][0]);
-          acc[r][1] = _mm256_fmadd_pd(va, b1, acc[r][1]);
-        }
-      }
-      for (int r = 0; r < kMr; ++r) {
-        _mm256_storeu_pd(c0 + static_cast<size_t>(r) * n, acc[r][0]);
-        _mm256_storeu_pd(c0 + static_cast<size_t>(r) * n + 4, acc[r][1]);
-      }
-    }
-  }
-  // Row tail (< 4 rows): scalar std::fma runs the identical per-element
-  // fold (a fused multiply-add is one correctly-rounded operation in both
-  // lane and scalar form), so the tail is bitwise-consistent with the
-  // vector block above and with MicroKernel4x8's zero-padded rows.
-  for (; i0 < m; ++i0) {
-    const double* arow = a + static_cast<size_t>(i0) * K;
-    double* crow = c + static_cast<size_t>(i0) * n;
-    for (int j = 0; j < n; ++j) {
-      const double* panel = bp + static_cast<size_t>(j / kPanelWidth) * K * kPanelWidth;
-      const int lane = j % kPanelWidth;
-      double acc = init == GemmInit::kBias         ? bias_p[j]
-                   : init == GemmInit::kAccumulate ? crow[j]
-                                                   : 0.0;
-      for (int kk = 0; kk < K; ++kk) {
-        acc = std::fma(arow[kk], panel[static_cast<size_t>(kk) * kPanelWidth + lane],
-                       acc);
-      }
-      crow[j] = acc;
-    }
-  }
-}
-
+/// Packed path. A is read in place through its strides (the microkernel
+/// broadcasts one element per row and step, so packing A buys nothing).
+/// Contiguous A with k ≤ 8 takes a compile-time-k instance: at 32 fmas per
+/// 4×8 block, runtime loop control would rival the arithmetic. Which
+/// instance runs is purely a performance choice (see file header).
 void Avx2GemmPacked(int m, int n, int k, const double* a, int a_row_stride,
                     int a_k_stride, const double* bp, const double* bias_p,
                     GemmInit init, double* c) {
-  if (a_k_stride == 1 && a_row_stride == k && n % kPanelWidth == 0) {
+  const size_t rs = static_cast<size_t>(a_row_stride);
+  const size_t ks = static_cast<size_t>(a_k_stride);
+  if (a_k_stride == 1 && a_row_stride == k) {
     switch (k) {
-      case 1: return Avx2GemmPackedSmallK<1>(m, n, a, bp, bias_p, init, c);
-      case 2: return Avx2GemmPackedSmallK<2>(m, n, a, bp, bias_p, init, c);
-      case 3: return Avx2GemmPackedSmallK<3>(m, n, a, bp, bias_p, init, c);
-      case 4: return Avx2GemmPackedSmallK<4>(m, n, a, bp, bias_p, init, c);
-      case 5: return Avx2GemmPackedSmallK<5>(m, n, a, bp, bias_p, init, c);
-      case 6: return Avx2GemmPackedSmallK<6>(m, n, a, bp, bias_p, init, c);
-      case 7: return Avx2GemmPackedSmallK<7>(m, n, a, bp, bias_p, init, c);
-      case 8: return Avx2GemmPackedSmallK<8>(m, n, a, bp, bias_p, init, c);
-      default: break;  // large k: the packed microkernel amortizes fine
+      case 1: return GemmBlocked<false, 1>(m, n, k, a, rs, ks, bp, bias_p, init, c);
+      case 2: return GemmBlocked<false, 2>(m, n, k, a, rs, ks, bp, bias_p, init, c);
+      case 3: return GemmBlocked<false, 3>(m, n, k, a, rs, ks, bp, bias_p, init, c);
+      case 4: return GemmBlocked<false, 4>(m, n, k, a, rs, ks, bp, bias_p, init, c);
+      case 5: return GemmBlocked<false, 5>(m, n, k, a, rs, ks, bp, bias_p, init, c);
+      case 6: return GemmBlocked<false, 6>(m, n, k, a, rs, ks, bp, bias_p, init, c);
+      case 7: return GemmBlocked<false, 7>(m, n, k, a, rs, ks, bp, bias_p, init, c);
+      case 8: return GemmBlocked<false, 8>(m, n, k, a, rs, ks, bp, bias_p, init, c);
+      default: break;
     }
   }
-  // Per-thread A-panel scratch: one 4×k block, k-major, zero-padded rows.
-  // Grows once per thread to the largest k seen; no steady-state heap.
-  thread_local std::vector<double> a_panel;
-  if (a_panel.size() < static_cast<size_t>(k) * kMr) {
-    a_panel.resize(static_cast<size_t>(k) * kMr);
-  }
-  double* ap = a_panel.data();
-
-  const int panels = (n + kPanelWidth - 1) / kPanelWidth;
-  for (int i0 = 0; i0 < m; i0 += kMr) {
-    const int rows = m - i0 < kMr ? m - i0 : kMr;
-    for (int kk = 0; kk < k; ++kk) {
-      double* dst = ap + static_cast<size_t>(kk) * kMr;
-      const double* src =
-          a + static_cast<size_t>(i0) * a_row_stride +
-          static_cast<size_t>(kk) * a_k_stride;
-      int r = 0;
-      for (; r < rows; ++r) dst[r] = src[static_cast<size_t>(r) * a_row_stride];
-      for (; r < kMr; ++r) dst[r] = 0.0;
-    }
-    for (int p = 0; p < panels; ++p) {
-      const int j0 = p * kPanelWidth;
-      const int cols = n - j0 < kPanelWidth ? n - j0 : kPanelWidth;
-      const int lo = cols < 4 ? cols : 4;
-      const int hi = cols - lo;
-      const __m256i mask_lo = cols == kPanelWidth ? __m256i{} : TailMask(lo);
-      const __m256i mask_hi = cols == kPanelWidth ? __m256i{} : TailMask(hi);
-      MicroKernel4x8(rows, k, ap,
-                     bp + static_cast<size_t>(p) * k * kPanelWidth,
-                     bias_p == nullptr
-                         ? nullptr
-                         : bias_p + static_cast<size_t>(p) * kPanelWidth,
-                     init, c + static_cast<size_t>(i0) * n + j0, n, cols,
-                     mask_lo, mask_hi);
-    }
-  }
+  GemmBlocked<false>(m, n, k, a, rs, ks, bp, bias_p, init, c);
 }
 
 // ---- Elementwise (bitwise-equal to scalar: no FMA, correctly-rounded

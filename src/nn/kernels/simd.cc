@@ -36,10 +36,12 @@ using internal::PackedBSize;
 // chunk at least half a threshold of work.
 constexpr int64_t kParallelFlops = int64_t{1} << 18;
 
-/// Minimum output rows before the packed path beats the unpacked row-vector
-/// kernel (below this, packing B costs more traffic than it saves). Both
-/// paths run the identical per-element fma fold, so the cutover is purely a
-/// performance choice — never a numerics one.
+/// Output rows from which GemmNN packs B; below it the backend's in-place
+/// kernel reads row-major B directly. Both paths run the identical
+/// per-element fma fold, so the cutover is purely a performance choice —
+/// never a numerics one. (The register-blocked in-place kernel measures as
+/// fast as packing up to m ≈ 42–64; the SIMD tests' packed-path shapes
+/// assume this value, so a retune must move them with it.)
 constexpr int kPackMinRows = 8;
 
 template <typename Kernel>

@@ -5,10 +5,11 @@
 //     the exact ikj / kij / row-dot schedules the tensor layer has always
 //     used, so with the scalar backend active results are bitwise identical
 //     to the pre-SIMD code.
-//   * avx2    — 4×8 register-blocked FMA microkernel over packed B panels
-//     (gemm_avx2.cc, the only TU compiled with -mavx2 -mfma). Every output
-//     element is a single register lane folding fma(a, b, acc) over k in
-//     increasing order, independent of blocking, packing, row-chunking, or
+//   * avx2    — 4×8 register-blocked FMA microkernel over packed B panels,
+//     or over row-major B in place for small m (gemm_avx2.cc, the only TU
+//     compiled with -mavx2 -mfma). Every output element is a single
+//     register lane folding fma(a, b, acc) over k in increasing order,
+//     independent of blocking, packing, row-chunking, or
 //     the m-size path taken — so AVX2 results are deterministic run-to-run,
 //     thread-count-invariant, and row-invariant: a row's result is the
 //     same at batch size 1 and at any B. They differ from scalar only by

@@ -114,16 +114,6 @@ Tensor Tensor::XavierUniform(int fan_in, int fan_out, Rng& rng) {
   return Uniform(fan_in, fan_out, -bound, bound, rng);
 }
 
-double& Tensor::At(int r, int c) {
-  HEAD_DCHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_);
-  return data_[static_cast<size_t>(r) * cols_ + c];
-}
-
-double Tensor::At(int r, int c) const {
-  HEAD_DCHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_);
-  return data_[static_cast<size_t>(r) * cols_ + c];
-}
-
 void Tensor::SetZero() {
   for (double& v : data_) v = 0.0;
 }

@@ -9,6 +9,7 @@
 #include <iosfwd>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 
 namespace head::nn {
@@ -57,8 +58,18 @@ class Tensor {
   int size() const { return rows_ * cols_; }
   bool empty() const { return size() == 0; }
 
-  double& At(int r, int c);
-  double At(int r, int c) const;
+  // Inline: element loops (ConcatCols, SliceCols, the sensor/graph
+  // builders) call these per element, where an out-of-line call costs more
+  // than the access. HEAD_DCHECK keeps the bounds check in builds without
+  // NDEBUG.
+  double& At(int r, int c) {
+    HEAD_DCHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_);
+    return data_[static_cast<size_t>(r) * cols_ + c];
+  }
+  double At(int r, int c) const {
+    HEAD_DCHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_);
+    return data_[static_cast<size_t>(r) * cols_ + c];
+  }
   double& operator[](int i) { return data_[i]; }
   double operator[](int i) const { return data_[i]; }
 

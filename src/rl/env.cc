@@ -50,13 +50,9 @@ AugmentedState DrivingEnv::Reset(uint64_t seed) {
 
 std::optional<sim::VehicleSnapshot> DrivingEnv::RealNeighbor(
     bool front) const {
-  const sim::RoadView view = sim_.View();
-  const VehicleState& ego = sim_.ego_state();
-  const sim::VehicleSnapshot* v =
-      front ? view.Leader(ego.lane, ego.lon_m, kEgoVehicleId)
-            : view.Follower(ego.lane, ego.lon_m, kEgoVehicleId);
+  const sim::Vehicle* v = sim_.EgoNeighbor(front);
   if (v == nullptr) return std::nullopt;
-  return *v;
+  return sim::VehicleSnapshot{v->id, v->state};
 }
 
 DrivingEnv::StepOutcome DrivingEnv::Step(const Maneuver& maneuver) {

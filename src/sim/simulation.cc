@@ -89,6 +89,21 @@ std::vector<VehicleSnapshot> Simulation::GlobalSnapshot() const {
 
 RoadView Simulation::View() const { return RoadView(GlobalSnapshot()); }
 
+const Vehicle* Simulation::EgoNeighbor(bool front) const {
+  const Vehicle* best = nullptr;
+  for (const Vehicle& v : fleet_) {
+    if (v.state.lane != ego_.state.lane) continue;
+    const double lon = v.state.lon_m;
+    if (front ? lon > ego_.state.lon_m &&
+                    (best == nullptr || lon < best->state.lon_m)
+              : lon <= ego_.state.lon_m &&
+                    (best == nullptr || lon > best->state.lon_m)) {
+      best = &v;
+    }
+  }
+  return best;
+}
+
 double Simulation::ConventionalAccel(const Vehicle& v, const RoadView& view) {
   const VehicleSnapshot* leader =
       view.Leader(v.state.lane, v.state.lon_m, v.id);

@@ -69,6 +69,12 @@ class Simulation {
   /// Indexed view over GlobalSnapshot().
   RoadView View() const;
 
+  /// Nearest conventional vehicle in the ego's lane strictly ahead of the
+  /// ego (`front`) or at or behind it: what View().Leader / Follower
+  /// (ego lane, ego lon, ego id) return, found in one pass over the fleet
+  /// instead of copying and sorting it into a view. nullptr when none.
+  const Vehicle* EgoNeighbor(bool front) const;
+
   /// Advances one Δt with the given ego maneuver. No-op once terminal.
   EpisodeStatus Step(const Maneuver& ego_maneuver);
 

@@ -12,6 +12,7 @@
 //   * End to end: a full BP-DQN update loop and an LST-GAT training run
 //     land on the same parameters under fast-math AVX2 and scalar.
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -335,21 +336,140 @@ TEST_F(SimdTest, PackedPathIsRowPrefixInvariant) {
   // what the small-m path produces: every output element is the same
   // fold of fma over k regardless of blocking. This is the property that
   // makes batched-vs-per-sample training bitwise reproducible under AVX2.
+  // n = 21 ends in a partial (masked) panel; n = 256 is whole panels only.
   if (!UseAvx2()) GTEST_SKIP() << "no AVX2+FMA on this machine";
   kernels::SetFastMath(true);
   Rng rng(31);
-  const int k = 37, n = 21, big_m = 40, small_m = 3;
-  const nn::Tensor a = nn::Tensor::Uniform(big_m, k, -1.0, 1.0, rng);
-  const nn::Tensor b = nn::Tensor::Uniform(k, n, -1.0, 1.0, rng);
-  nn::Tensor a_small(small_m, k);
-  for (int r = 0; r < small_m; ++r) {
-    for (int c = 0; c < k; ++c) a_small.At(r, c) = a.At(r, c);
+  const int k = 37, big_m = 40, small_m = 3;
+  for (const int n : {21, 256}) {
+    const nn::Tensor a = nn::Tensor::Uniform(big_m, k, -1.0, 1.0, rng);
+    const nn::Tensor b = nn::Tensor::Uniform(k, n, -1.0, 1.0, rng);
+    nn::Tensor a_small(small_m, k);
+    for (int r = 0; r < small_m; ++r) {
+      for (int c = 0; c < k; ++c) a_small.At(r, c) = a.At(r, c);
+    }
+    const nn::Tensor big = nn::MatMul(a, b);          // packed microkernel
+    const nn::Tensor small = nn::MatMul(a_small, b);  // B read in place
+    for (int r = 0; r < small_m; ++r) {
+      for (int c = 0; c < n; ++c) {
+        ASSERT_EQ(big.At(r, c), small.At(r, c)) << "n=" << n << " " << r
+                                                << "," << c;
+      }
+    }
   }
-  const nn::Tensor big = nn::MatMul(a, b);        // packed microkernel
-  const nn::Tensor small = nn::MatMul(a_small, b);  // unpacked row-vector path
-  for (int r = 0; r < small_m; ++r) {
-    for (int c = 0; c < n; ++c) {
-      ASSERT_EQ(big.At(r, c), small.At(r, c)) << r << "," << c;
+}
+
+// The file-header fold of gemm_avx2.cc, written out: c[i,j] starts at the
+// init seed and folds std::fma(a[i,kk], b[kk,j], acc) over kk ascending.
+// `a_at(i, kk)` and `b_at(kk, j)` read the operands in whatever layout the
+// route under test takes.
+template <typename AAt, typename BAt>
+std::vector<double> FmaFoldOracle(int m, int n, int k, const AAt& a_at,
+                                  const BAt& b_at, kernels::GemmInit init,
+                                  const std::vector<double>& bias,
+                                  const std::vector<double>& c_in) {
+  std::vector<double> c(static_cast<size_t>(m) * n);
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      const size_t ij = static_cast<size_t>(i) * n + j;
+      double acc = init == kernels::GemmInit::kBias         ? bias[j]
+                   : init == kernels::GemmInit::kAccumulate ? c_in[ij]
+                                                            : 0.0;
+      for (int kk = 0; kk < k; ++kk) {
+        acc = std::fma(a_at(i, kk), b_at(kk, j), acc);
+      }
+      c[ij] = acc;
+    }
+  }
+  return c;
+}
+
+TEST_F(SimdTest, EveryAvx2GemmRouteMatchesFmaFoldOracle) {
+  // Every n > 1 AVX2 GEMM route — the in-place small-m kernel (m < 8), the
+  // packed microkernel with runtime k and with compile-time k (k <= 8),
+  // full and partial 4-row strips and 8-column panels, TN's strided A and
+  // NT's transpose-packed B — must equal the plain fma fold bitwise. The
+  // n == 1 dot path (Dot4) folds in a different fixed order by design and
+  // is exempt.
+  if (!UseAvx2()) GTEST_SKIP() << "no AVX2+FMA on this machine";
+  kernels::SetFastMath(true);
+  using kernels::GemmInit;
+  Rng rng(59);
+  const std::pair<int, int> kNk[] = {
+      {256, 64}, {64, 64}, {3, 64}, {64, 4}, {13, 7}};
+  const auto uniform = [&](size_t size) {
+    std::vector<double> v(size);
+    for (double& x : v) x = rng.Uniform(-1.0, 1.0);
+    return v;
+  };
+  for (const int m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 64}) {
+    for (const auto& [n, k] : kNk) {
+      const size_t mn = static_cast<size_t>(m) * n;
+      // NN: A (m×k), B (k×n), all three init modes.
+      const std::vector<double> a = uniform(static_cast<size_t>(m) * k);
+      const std::vector<double> b = uniform(static_cast<size_t>(k) * n);
+      const std::vector<double> bias = uniform(n);
+      const auto a_nn = [&](int i, int kk) {
+        return a[static_cast<size_t>(i) * k + kk];
+      };
+      const auto b_nn = [&](int kk, int j) {
+        return b[static_cast<size_t>(kk) * n + j];
+      };
+      for (const GemmInit init :
+           {GemmInit::kZero, GemmInit::kBias, GemmInit::kAccumulate}) {
+        const std::vector<double> seed = uniform(mn);
+        std::vector<double> c = seed;
+        kernels::GemmNN(m, n, k, a.data(), b.data(), bias.data(), init,
+                        c.data());
+        const std::vector<double> want =
+            FmaFoldOracle(m, n, k, a_nn, b_nn, init, bias, seed);
+        for (size_t i = 0; i < mn; ++i) {
+          ASSERT_EQ(c[i], want[i]) << "NN m=" << m << " n=" << n << " k=" << k
+                                   << " init=" << static_cast<int>(init)
+                                   << " i=" << i;
+        }
+      }
+      // TN: A stored (k×m), output rows are A columns.
+      const std::vector<double> at = uniform(static_cast<size_t>(k) * m);
+      const auto a_tn = [&](int i, int kk) {
+        return at[static_cast<size_t>(kk) * m + i];
+      };
+      for (const GemmInit init : {GemmInit::kZero, GemmInit::kAccumulate}) {
+        const std::vector<double> seed = uniform(mn);
+        std::vector<double> c = seed;
+        kernels::GemmTN(m, n, k, at.data(), b.data(), init, c.data());
+        const std::vector<double> want =
+            FmaFoldOracle(m, n, k, a_tn, b_nn, init, bias, seed);
+        for (size_t i = 0; i < mn; ++i) {
+          ASSERT_EQ(c[i], want[i]) << "TN m=" << m << " n=" << n << " k=" << k
+                                   << " init=" << static_cast<int>(init)
+                                   << " i=" << i;
+        }
+#if defined(HEAD_HAVE_AVX2_TU)
+        // The table's unpacked TN kernel (direct calls only) folds the same.
+        std::vector<double> c_direct = seed;
+        kernels::internal::kAvx2Table.gemm_tn(m, n, k, at.data(), m, b.data(),
+                                              init, c_direct.data());
+        for (size_t i = 0; i < mn; ++i) {
+          ASSERT_EQ(c_direct[i], want[i])
+              << "gemm_tn m=" << m << " n=" << n << " k=" << k
+              << " init=" << static_cast<int>(init) << " i=" << i;
+        }
+#endif
+      }
+      // NT: B stored (n×k).
+      const std::vector<double> bt = uniform(static_cast<size_t>(n) * k);
+      const auto b_nt = [&](int kk, int j) {
+        return bt[static_cast<size_t>(j) * k + kk];
+      };
+      std::vector<double> c(mn);
+      kernels::GemmNT(m, n, k, a.data(), bt.data(), c.data());
+      const std::vector<double> want =
+          FmaFoldOracle(m, n, k, a_nn, b_nt, GemmInit::kZero, bias, c);
+      for (size_t i = 0; i < mn; ++i) {
+        ASSERT_EQ(c[i], want[i]) << "NT m=" << m << " n=" << n << " k=" << k
+                                 << " i=" << i;
+      }
     }
   }
 }

@@ -16,6 +16,19 @@ TEST(TensorTest, ConstructionAndAccess) {
   EXPECT_DOUBLE_EQ(t[5], -4.0);  // row-major
 }
 
+#ifndef NDEBUG
+// At() is defined inline in the header; its HEAD_DCHECK must still fire
+// wherever DCHECKs are compiled in.
+TEST(TensorDeathTest, OutOfRangeAtAborts) {
+  Tensor t(2, 3);
+  const Tensor& ct = t;
+  EXPECT_DEATH((void)t.At(2, 0), "HEAD_CHECK failed");
+  EXPECT_DEATH((void)t.At(0, 3), "HEAD_CHECK failed");
+  EXPECT_DEATH((void)ct.At(-1, 0), "HEAD_CHECK failed");
+  EXPECT_DEATH((void)ct.At(1, -1), "HEAD_CHECK failed");
+}
+#endif  // NDEBUG
+
 TEST(TensorTest, EmptyTensor) {
   Tensor t;
   EXPECT_TRUE(t.empty());

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/scenario.h"
 #include "sim/spawner.h"
 
 namespace head::sim {
@@ -190,6 +191,45 @@ TEST(SimulationTest, TimeoutTerminates) {
     status = sim.Step(Maneuver{LaneChange::kKeep, -3.0});
   }
   EXPECT_EQ(status, EpisodeStatus::kTimeout);
+}
+
+TEST(SimulationTest, EgoNeighborMatchesRoadViewOverPaperRollout) {
+  // EgoNeighbor's linear pass must find the vehicle the sorted RoadView
+  // finds, on every step of a 500-step paper-highway rollout with random
+  // ego maneuvers (episodes restart on a new seed when they end).
+  Simulation sim(PaperHighwayScenario(), 42);
+  Rng rng(7);
+  uint64_t seed = 42;
+  int compared = 0, leaders = 0, followers = 0;
+  for (int step = 0; step < 500; ++step) {
+    const RoadView view = sim.View();
+    const VehicleState& ego = sim.ego_state();
+    for (const bool front : {true, false}) {
+      const VehicleSnapshot* want =
+          front ? view.Leader(ego.lane, ego.lon_m, kEgoVehicleId)
+                : view.Follower(ego.lane, ego.lon_m, kEgoVehicleId);
+      const Vehicle* got = sim.EgoNeighbor(front);
+      ASSERT_EQ(got == nullptr, want == nullptr)
+          << "step " << step << " front=" << front;
+      if (got != nullptr) {
+        ASSERT_EQ(got->id, want->id) << "step " << step << " front=" << front;
+        (front ? leaders : followers) += 1;
+      }
+      ++compared;
+    }
+    const LaneChange change = rng.Bernoulli(0.1)
+                                  ? (rng.Bernoulli(0.5) ? LaneChange::kLeft
+                                                        : LaneChange::kRight)
+                                  : LaneChange::kKeep;
+    if (sim.Step(Maneuver{change, rng.Uniform(-2.0, 2.0)}) !=
+        EpisodeStatus::kRunning) {
+      sim.Reset(++seed);
+    }
+  }
+  EXPECT_EQ(compared, 1000);
+  // Both queries must have been exercised with a vehicle present.
+  EXPECT_GT(leaders, 250);
+  EXPECT_GT(followers, 250);
 }
 
 }  // namespace

@@ -13,7 +13,9 @@
 #      than 30% — and against the zero-allocation invariant: a warmed-up
 #      training step must perform 0 arena/pool heap events
 #      (--require-zero-allocs). Emits BENCH_training_throughput.json and an
-#      obs metrics snapshot (nn_alloc_* gauges) next to the build.
+#      obs metrics snapshot (nn_alloc_* gauges) next to the build. Then the
+#      opt-level parity gate: the same bench built RelWithDebInfo (-O2, the
+#      tier-1 build) must reach >= 0.7x of every -O3 gemm_*_avx2_gflops.
 #   3. Scalar-fallback stage: configures a tree with -DHEAD_SIMD_DISABLE=ON
 #      (no AVX2 TU — the portable scalar kernel backend only, as on a
 #      non-x86 or pre-AVX2 host) and runs the *entire* ctest suite against
@@ -97,6 +99,35 @@ if [[ "${HEAD_SKIP_PERF:-0}" != "1" ]]; then
     --max-regress=0.30 \
     --require-zero-allocs
   echo "== perf smoke passed (JSON: ${PERF_BUILD_DIR}/BENCH_training_throughput.json) =="
+
+  # Opt-level parity: the same bench built in the tier-1 RelWithDebInfo
+  # (-O2) configuration must run every AVX2 GEMM shape at >= 0.7x the -O3
+  # rate measured just above. Catches kernels whose speed depends on -O3
+  # (e.g. accumulator arrays that only -O3 keeps in registers), which the
+  # -O3 floors alone never see.
+  O2_BUILD_DIR="build-o2"
+  cmake -B "${O2_BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  cmake --build "${O2_BUILD_DIR}" -j --target training_throughput
+  echo "== opt-level parity: gemm_*_avx2_gflops at -O2 vs -O3 (floor 0.7x) =="
+  "${O2_BUILD_DIR}/bench/training_throughput" \
+    --threads="${PERF_THREADS}" --plans=off \
+    --json-out="${O2_BUILD_DIR}/BENCH_training_throughput.json" > /dev/null
+  python3 - "${PERF_BUILD_DIR}/BENCH_training_throughput.json" \
+    "${O2_BUILD_DIR}/BENCH_training_throughput.json" <<'PY'
+import json, sys
+o3, o2 = (json.load(open(path)) for path in sys.argv[1:3])
+keys = sorted(k for k in o3 if k.startswith("gemm_") and k.endswith("_avx2_gflops"))
+if not keys or any(o3[k] <= 0 for k in keys):
+    sys.exit("opt-level parity: no AVX2 gemm keys in the -O3 run")
+failed = False
+for k in keys:
+    ratio = o2.get(k, 0.0) / o3[k]
+    ok = ratio >= 0.7
+    failed |= not ok
+    print(f"{'ok  ' if ok else 'FAIL'} {k}: -O2 {o2.get(k, 0.0):.2f} / -O3 {o3[k]:.2f} = {ratio:.2f}x")
+sys.exit("opt-level parity failed" if failed else 0)
+PY
+  echo "== opt-level parity passed =="
 fi
 
 if [[ "${HEAD_SKIP_SCALAR:-0}" != "1" ]]; then
