@@ -7,7 +7,6 @@
 #include <memory>
 
 #include "eval/table.h"
-#include "eval/timer.h"
 #include "eval/workbench.h"
 #include "perception/baselines/ed_lstm.h"
 #include "perception/baselines/gas_led.h"

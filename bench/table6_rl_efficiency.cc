@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "eval/table.h"
-#include "eval/timer.h"
 #include "eval/workbench.h"
 #include "parallel/env_pool.h"
 #include "rl/p_ddpg.h"

@@ -366,6 +366,27 @@ double BestOf(int trials, const std::function<double()>& measure) {
   return best;
 }
 
+/// Median ns of one disabled HEAD_SCOPE (profiling and tracing off) over
+/// `trials` tight loops: the price every permanently instrumented region
+/// pays. tools/check.sh fails the perf stage above 5 ns — a disabled path
+/// that read the clock or took a lock would cost several times that. Kept
+/// out of line so the loop does not inherit main's frame layout (inlined,
+/// it read 3.1–3.8 ns against 1.9–3.1 ns out of line on a 4-vCPU Xeon VM).
+[[gnu::noinline]] double MeasureDisabledScopeNs(int trials) {
+  constexpr int kIters = 1 << 22;
+  std::vector<double> per_trial;
+  for (int t = 0; t < std::max(1, trials); ++t) {
+    const uint64_t t0 = head::obs::NowNs();
+    for (int i = 0; i < kIters; ++i) {
+      HEAD_SCOPE("bench.disabled_scope");
+    }
+    per_trial.push_back(static_cast<double>(head::obs::NowNs() - t0) /
+                        kIters);
+  }
+  std::sort(per_trial.begin(), per_trial.end());
+  return per_trial[per_trial.size() / 2];
+}
+
 /// Minimal extraction of `"key":<number>` from a flat JSON file — enough for
 /// the baseline format this binary itself writes.
 bool ReadJsonNumber(const std::string& text, const std::string& key,
@@ -437,6 +458,9 @@ int main(int argc, char** argv) {
             << kernels::IsaName(bench_isa) << ", cpu "
             << kernels::CpuCapabilityString() << ", plans "
             << (measure_plans ? "on" : "off") << ")\n";
+
+  const double scope_disabled_ns = MeasureDisabledScopeNs(trials);
+  std::cout << "disabled HEAD_SCOPE: " << scope_disabled_ns << " ns\n";
 
   // GEMM microkernel axis: both backends on the training-hot-path shapes.
   std::ostringstream gemm_json;
@@ -556,7 +580,8 @@ int main(int argc, char** argv) {
        << "\"kernel\":\"" << kernels::IsaName(bench_isa) << "\","
        << "\"cpu_capability\":\"" << kernels::CpuCapabilityString() << "\","
        << "\"fast_math\":" << (kernels::FastMathEnabled() ? "true" : "false")
-       << "," << gemm_json.str()
+       << ",\"scope_disabled_ns\":" << scope_disabled_ns << ","
+       << gemm_json.str()
        << "\"gemm_avx2_speedup_geomean\":" << gemm_speedup_geomean << ","
        << "\"rollout_envs\":" << rollout_envs << ","
        << "\"rollout_env_steps_per_sec\":" << rollout << ","

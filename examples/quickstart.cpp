@@ -15,10 +15,10 @@
 #include <cstdlib>
 
 #include "core/head_agent.h"
-#include "obs/span.h"
 #include "data/real_dataset.h"
 #include "eval/episode_runner.h"
 #include "eval/workbench.h"
+#include "obs/profiler.h"
 #include "perception/trainer.h"
 #include "nn/serialize.h"
 #include "rl/trainer.h"
@@ -111,7 +111,7 @@ int main() {
   double prev_accel = 0.0;
   int lane_changes = 0;
   while (sim.status() == sim::EpisodeStatus::kRunning) {
-    HEAD_SPAN("episode.step");
+    HEAD_SCOPE("episode.step");
     decision::EgoView view;
     view.ego = sim.ego_state();
     view.observed =

@@ -2,8 +2,8 @@
 
 #include "common/check.h"
 #include "obs/metrics.h"
+#include "obs/profiler.h"
 #include "obs/recorder.h"
-#include "obs/span.h"
 
 namespace head::core {
 
@@ -33,37 +33,33 @@ rl::AugmentedState HeadAgent::Perceive(const decision::EgoView& view) {
   history_.Push(std::move(frame));
   perception::CompletedScene scene;
   {
-    HEAD_SPAN("perception.phantom");
+    HEAD_SCOPE("perception.phantom");
     scene = perception::ConstructPhantoms(history_, config_.road,
                                           config_.sensor.range_m,
                                           config_.variant.use_pvc);
   }
   {
-    HEAD_SPAN("perception.graph");
+    HEAD_SCOPE("perception.graph");
     graph_ = perception::BuildStGraph(scene, config_.road, config_.scale);
   }
   perception::Prediction prediction{};
   if (config_.variant.use_lst_gat) {
-    prediction = predictor_->Predict(graph_);  // spans itself
+    prediction = predictor_->Predict(graph_);  // scopes itself
   }
-  HEAD_SPAN("perception.augment");
+  HEAD_SCOPE("perception.augment");
   return rl::BuildAugmentedState(graph_, prediction, config_.road,
                                  config_.scale,
                                  config_.variant.use_lst_gat);
 }
 
 Maneuver HeadAgent::Decide(const decision::EgoView& view) {
-  HEAD_SPAN("agent.act");
   static obs::Histogram& latency = obs::LatencyHistogram("agent.act");
   static obs::Counter& decisions = obs::GetCounter("agent.decisions");
-  obs::ScopedTimer timer(latency);
+  HEAD_SCOPE("agent.act", latency);
   decisions.Add();
   last_state_ = Perceive(view);
-  rl::AgentAction action;
-  {
-    HEAD_SPAN("rl.act");
-    action = agent_->Act(last_state_, /*epsilon=*/0.0, act_rng_);
-  }
+  const rl::AgentAction action =
+      agent_->Act(last_state_, /*epsilon=*/0.0, act_rng_);  // scopes rl.act
   if (obs::RecordingEnabled()) {
     obs::ScratchRecord().rng_cursor = act_rng_.draws();
   }

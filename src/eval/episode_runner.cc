@@ -5,8 +5,8 @@
 #include <optional>
 #include <unordered_map>
 
+#include "obs/profiler.h"
 #include "obs/recorder.h"
-#include "obs/span.h"
 #include "rl/reward.h"
 
 namespace head::eval {
@@ -52,7 +52,7 @@ EpisodeRecord RunEpisode(decision::Policy& policy, const RunnerConfig& config,
   std::unordered_map<VehicleId, FollowerStat> followers;
 
   while (sim.status() == sim::EpisodeStatus::kRunning) {
-    HEAD_SPAN("episode.step");
+    HEAD_SCOPE("episode.step");
     const sim::RoadView before = sim.View();
     const VehicleState ego_before = sim.ego_state();
 

@@ -5,8 +5,18 @@
 #include <ostream>
 
 #include "common/check.h"
+#include "obs/profiler.h"
 
 namespace head::eval {
+
+double MeasureAvgMillis(const std::function<void()>& fn, int iterations,
+                        int warmup) {
+  HEAD_CHECK_GT(iterations, 0);
+  for (int i = 0; i < warmup; ++i) fn();
+  const uint64_t start = obs::NowNs();
+  for (int i = 0; i < iterations; ++i) fn();
+  return (obs::NowNs() - start) * 1e-6 / iterations;
+}
 
 std::string FormatDouble(double v, int precision) {
   char buf[64];

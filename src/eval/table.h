@@ -1,13 +1,20 @@
 // Fixed-width text tables for the benchmark output — each bench prints the
-// same rows its paper table reports.
+// same rows its paper table reports — and the AvgIT timer of the efficiency
+// tables.
 #ifndef HEAD_EVAL_TABLE_H_
 #define HEAD_EVAL_TABLE_H_
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 namespace head::eval {
+
+/// Mean wall-clock milliseconds of `fn` over `iterations` calls (after
+/// `warmup` unmeasured calls), on the obs::NowNs() clock.
+double MeasureAvgMillis(const std::function<void()>& fn, int iterations,
+                        int warmup = 3);
 
 /// Formats `v` with `precision` decimal places.
 std::string FormatDouble(double v, int precision = 2);

@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "common/check.h"
-#include "obs/span.h"
+#include "obs/profiler.h"
 
 namespace head::eval {
 
@@ -22,7 +22,7 @@ EpisodeTrace RecordEpisode(decision::Policy& policy,
   double prev_accel = 0.0;
 
   while (sim.status() == sim::EpisodeStatus::kRunning) {
-    HEAD_SPAN("episode.step");
+    HEAD_SCOPE("episode.step");
     const VehicleState ego_before = sim.ego_state();
     decision::EgoView view;
     view.ego = ego_before;

@@ -178,7 +178,7 @@ NoGradGuard::NoGradGuard() : prev_(g_grad_enabled) { g_grad_enabled = false; }
 NoGradGuard::~NoGradGuard() { g_grad_enabled = prev_; }
 
 void Backward(const Var& loss) {
-  HEAD_PROF_SCOPE("nn.backward");
+  HEAD_SCOPE("nn.backward");
   obs::ScopedProfPhase prof_phase(obs::ProfPhase::kBackward);
   HEAD_CHECK(loss.defined());
   HEAD_DCHECK(loss.alive());

@@ -16,8 +16,6 @@
 #include <cstring>
 #include <vector>
 
-#include <chrono>
-
 #include "nn/kernels/kernel_table.h"
 #include "obs/profiler.h"
 #include "parallel/thread_pool.h"
@@ -32,7 +30,7 @@ using internal::PackedBiasSize;
 using internal::PackedBSize;
 
 // Same break-even as the tensor layer used before the kernel split: chunk
-// only above ~260k multiply-adds (see bench/parallel_overhead), keep every
+// only above ~260k multiply-adds (a pool dispatch costs ~3-4 us), keep every
 // chunk at least half a threshold of work.
 constexpr int64_t kParallelFlops = int64_t{1} << 18;
 
@@ -307,16 +305,6 @@ void AdamStep(int n, double lr, double beta1, double beta2, double eps,
                                 value);
 }
 
-namespace {
-
-uint64_t CalNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
 double MeasurePeakGemmGflops() {
   constexpr int kDim = 64;  // 3 × 32 KB: resident in L2, streams through L1
   std::vector<double> a(kDim * kDim), b(kDim * kDim), c(kDim * kDim, 0.0);
@@ -330,12 +318,12 @@ double MeasurePeakGemmGflops() {
   double best = 0.0;
   constexpr int kTrials = 8, kReps = 16;
   for (int trial = 0; trial < kTrials; ++trial) {
-    const uint64_t t0 = CalNowNs();
+    const uint64_t t0 = obs::NowNs();
     for (int rep = 0; rep < kReps; ++rep) {
       GemmNN(kDim, kDim, kDim, a.data(), b.data(), nullptr, GemmInit::kZero,
              c.data());
     }
-    const uint64_t t1 = CalNowNs();
+    const uint64_t t1 = obs::NowNs();
     if (t1 > t0) {
       best = std::max(
           best, static_cast<double>(flops) * kReps / static_cast<double>(t1 - t0));

@@ -27,7 +27,7 @@ void Module::CopyParamsFrom(const Module& other) {
 }
 
 void Module::SoftUpdateFrom(const Module& source, double tau) {
-  HEAD_PROF_SCOPE("nn.SoftUpdate");
+  HEAD_SCOPE("nn.SoftUpdate");
   std::vector<Var> dst = Params();
   std::vector<Var> src = source.Params();
   HEAD_CHECK_EQ(dst.size(), src.size());

@@ -19,7 +19,7 @@ void Optimizer::ZeroGrad() {
 }
 
 double Optimizer::ClipGradNorm(double max_norm) {
-  HEAD_PROF_SCOPE("nn.ClipGradNorm");
+  HEAD_SCOPE("nn.ClipGradNorm");
   HEAD_CHECK_GT(max_norm, 0.0);
   double sq = 0.0;
   for (Var& p : params_) {
@@ -41,7 +41,7 @@ Sgd::Sgd(std::vector<Var> params, double lr) : Optimizer(std::move(params)) {
 }
 
 void Sgd::Step() {
-  HEAD_PROF_SCOPE("nn.Sgd.Step");
+  HEAD_SCOPE("nn.Sgd.Step");
   for (Var& p : params_) {
     p.mutable_value().AddScaled(p.grad(), -lr_);
   }
@@ -60,7 +60,7 @@ Adam::Adam(std::vector<Var> params, double lr, double beta1, double beta2,
 }
 
 void Adam::Step() {
-  HEAD_PROF_SCOPE("nn.Adam.Step");
+  HEAD_SCOPE("nn.Adam.Step");
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, t_);
   const double bc2 = 1.0 - std::pow(beta2_, t_);

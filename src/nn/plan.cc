@@ -182,7 +182,7 @@ std::vector<const Tensor*> ExecPlan::Replay(
   if (!backward_order_.empty()) {
     // Mirrors nn::Backward's replayed portion exactly: same seed, same
     // reverse order, same skip condition, same per-node attribution.
-    HEAD_PROF_SCOPE("nn.backward");
+    HEAD_SCOPE("nn.backward");
     obs::ScopedProfPhase prof_phase(obs::ProfPhase::kBackward);
     nodes[backward_order_.back()].AccumGrad(Tensor::Full(1, 1, 1.0));
     for (auto it = backward_order_.rbegin(); it != backward_order_.rend();

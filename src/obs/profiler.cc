@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -9,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <ostream>
 #include <tuple>
 #include <vector>
 
@@ -16,6 +18,19 @@
 #include "obs/perf_counters.h"
 
 namespace head::obs {
+
+uint64_t NowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+namespace prof_internal {
+
+std::atomic<uint8_t> g_gates{0};
+thread_local ProfPhase t_phase = ProfPhase::kForward;
+
+}  // namespace prof_internal
 
 namespace {
 
@@ -214,7 +229,7 @@ void MaybeSampleCounters(int64_t flops, int64_t bytes) {
   if (flops == 0 && bytes == 0) return;
   const int64_t cf = g_cum_flops.fetch_add(flops, std::memory_order_relaxed) + flops;
   const int64_t cb = g_cum_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  const uint64_t now = internal::NowNs();
+  const uint64_t now = NowNs();
   uint64_t last = g_last_sample_ns.load(std::memory_order_relaxed);
   if (now - last < kSampleIntervalNs) return;
   if (!g_last_sample_ns.compare_exchange_strong(last, now,
@@ -229,12 +244,7 @@ const char* PhaseTag(ProfPhase phase) {
   return phase == ProfPhase::kBackward ? "bwd" : "fwd";
 }
 
-}  // namespace
-
-namespace prof_internal {
-
-std::atomic<bool> g_profiling_enabled{false};
-thread_local ProfPhase t_phase = ProfPhase::kForward;
+// Profiler parent link of the innermost open profiled scope on this thread.
 thread_local uint64_t* t_child_acc = nullptr;
 
 void RecordOp(const char* op, ProfPhase phase, int m, int n, int k,
@@ -262,30 +272,87 @@ void RecordOp(const char* op, ProfPhase phase, int m, int n, int k,
   MaybeSampleCounters(flops, bytes);
 }
 
-}  // namespace prof_internal
+// ---- Trace buffer ----
+//
+// Completed traced scopes from every thread, appended under a mutex. Scope
+// end is not a hot enough event to justify per-thread buffers: a traced sim
+// step produces ~10 events, each append is ~20 ns.
+std::mutex g_events_mu;
+std::vector<TraceEvent> g_events;
+std::atomic<int64_t> g_dropped_events{0};
 
-void OpScope::Begin(const char* op, int m, int n, int k, int64_t flops,
-                    int64_t bytes) {
-  op_ = op;
-  m_ = m;
-  n_ = n;
-  k_ = k;
-  flops_ = flops;
-  bytes_ = bytes;
-  phase_ = prof_internal::t_phase;
-  child_ns_ = 0;
-  parent_child_ = prof_internal::t_child_acc;
-  prof_internal::t_child_acc = &child_ns_;
-  start_ns_ = internal::NowNs();
+// Unbounded traces of long RL trainings would eat the heap; cap and count.
+constexpr size_t kMaxEvents = 1 << 21;  // ~2M events ≈ 80 MB
+
+std::atomic<uint32_t> g_next_tid{0};
+
+uint32_t ThisThreadId() {
+  thread_local const uint32_t tid =
+      g_next_tid.fetch_add(1, std::memory_order_relaxed);
+  return tid;
 }
 
-void OpScope::End() {
-  const uint64_t total = internal::NowNs() - start_ns_;
-  prof_internal::t_child_acc = parent_child_;
-  if (parent_child_ != nullptr) *parent_child_ += total;
-  const uint64_t self = total > child_ns_ ? total - child_ns_ : 0;
-  prof_internal::RecordOp(op_, phase_, m_, n_, k_, total, self, flops_,
-                          bytes_, /*is_root=*/parent_child_ == nullptr);
+thread_local int t_trace_depth = 0;
+
+void SetGate(uint8_t gate, bool on) {
+  if (on) {
+    prof_internal::g_gates.fetch_or(gate, std::memory_order_relaxed);
+  } else {
+    prof_internal::g_gates.fetch_and(static_cast<uint8_t>(~gate),
+                                     std::memory_order_relaxed);
+  }
+}
+
+void PushTraceEvent(const char* name, int depth, uint64_t start_ns,
+                    uint64_t dur_ns) {
+  std::lock_guard<std::mutex> lock(g_events_mu);
+  if (g_events.size() >= kMaxEvents) {
+    g_dropped_events.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  g_events.push_back({name, ThisThreadId(), depth, start_ns, dur_ns});
+}
+
+}  // namespace
+
+void Scope::Begin(const char* name, uint8_t outputs, Histogram* hist, int m,
+                  int n, int k, int64_t flops, int64_t bytes) {
+  name_ = name;
+  outputs_ = outputs;
+  hist_ = hist;
+  if ((outputs & prof_internal::kProfileGate) != 0) {
+    m_ = m;
+    n_ = n;
+    k_ = k;
+    flops_ = flops;
+    bytes_ = bytes;
+    phase_ = prof_internal::t_phase;
+    child_ns_ = 0;
+    parent_child_ = t_child_acc;
+    t_child_acc = &child_ns_;
+  }
+  if ((outputs & prof_internal::kTraceGate) != 0) depth_ = t_trace_depth++;
+  start_ns_ = NowNs();
+}
+
+void Scope::End() {
+  const uint64_t total = NowNs() - start_ns_;
+  if ((outputs_ & prof_internal::kProfileGate) != 0) {
+    t_child_acc = parent_child_;
+    if (parent_child_ != nullptr) *parent_child_ += total;
+    const uint64_t self = total > child_ns_ ? total - child_ns_ : 0;
+    RecordOp(name_, phase_, m_, n_, k_, total, self, flops_, bytes_,
+             /*is_root=*/parent_child_ == nullptr);
+  }
+  if ((outputs_ & prof_internal::kTraceGate) != 0) {
+    --t_trace_depth;
+    PushTraceEvent(name_, depth_, start_ns_, total);
+  }
+  if (hist_ != nullptr) hist_->Observe(total * 1e-9);
+}
+
+void SetTracingEnabled(bool enabled) {
+  SetGate(prof_internal::kTraceGate, enabled);
 }
 
 void StartProfiling(const ProfilerOptions& options) {
@@ -296,14 +363,14 @@ void StartProfiling(const ProfilerOptions& options) {
   // its allocation never lands inside the first profiled root's self time.
   // Worker threads still pay their one-time shard setup on first op.
   GetShard();
-  g_session_start_ns.store(internal::NowNs(), std::memory_order_relaxed);
+  g_session_start_ns.store(NowNs(), std::memory_order_relaxed);
   g_session_end_ns.store(0, std::memory_order_relaxed);
-  prof_internal::g_profiling_enabled.store(true, std::memory_order_relaxed);
+  SetGate(prof_internal::kProfileGate, true);
 }
 
 void StopProfiling() {
-  prof_internal::g_profiling_enabled.store(false, std::memory_order_relaxed);
-  g_session_end_ns.store(internal::NowNs(), std::memory_order_relaxed);
+  SetGate(prof_internal::kProfileGate, false);
+  g_session_end_ns.store(NowNs(), std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(g_shards_mu);
   for (auto& shard : Shards()) shard->hw.Disable();
 }
@@ -328,11 +395,11 @@ RooflinePeaks MeasurePortablePeaks() {
     constexpr int kIters = 1 << 21;
     double acc[8] = {1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7};
     const double x = 1.0000001, y = 1e-12;
-    const uint64_t t0 = internal::NowNs();
+    const uint64_t t0 = NowNs();
     for (int i = 0; i < kIters; ++i) {
       for (double& a : acc) a = a * x + y;
     }
-    const uint64_t t1 = internal::NowNs();
+    const uint64_t t1 = NowNs();
     double sink = 0.0;
     for (double a : acc) sink += a;
     // flops = 2 per fma-shaped update; GFLOP/s = flops / ns.
@@ -349,12 +416,12 @@ double MeasurePeakBandwidthGbps() {
   constexpr size_t kLen = 1 << 20;  // 8 MB of doubles, past L2
   std::vector<double> src(kLen, 1.5), dst(kLen, 0.0);
   constexpr int kPasses = 4;
-  const uint64_t t0 = internal::NowNs();
+  const uint64_t t0 = NowNs();
   for (int p = 0; p < kPasses; ++p) {
     const double s = 1.0 + 1e-9 * p;
     for (size_t i = 0; i < kLen; ++i) dst[i] = src[i] * s;
   }
-  const uint64_t t1 = internal::NowNs();
+  const uint64_t t1 = NowNs();
   const double bytes = 2.0 * sizeof(double) * kLen * kPasses + dst[0];
   return t1 > t0 ? bytes / static_cast<double>(t1 - t0) : 0.0;
 }
@@ -404,7 +471,7 @@ ProfileReport CollectProfile() {
 
   const uint64_t start = g_session_start_ns.load(std::memory_order_relaxed);
   uint64_t end = g_session_end_ns.load(std::memory_order_relaxed);
-  if (end == 0) end = internal::NowNs();
+  if (end == 0) end = NowNs();
   report.session_wall_ns = (start != 0 && end > start) ? end - start : 0;
 
   using Key = std::tuple<std::string, uint8_t, int, int, int>;
@@ -630,6 +697,8 @@ bool WriteProfileJsonFile(const std::string& path) {
 
 namespace {
 
+/// Nanoseconds as decimal microseconds ("12.345") — Chrome's time unit,
+/// without losing the nanosecond precision.
 std::string NsAsUs(uint64_t ns) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%llu.%03llu",
@@ -640,10 +709,19 @@ std::string NsAsUs(uint64_t ns) {
 
 }  // namespace
 
-bool WriteChromeTraceWithCountersFile(const std::string& path) {
-  std::ofstream os(path);
-  if (!os.good()) return false;
-  const std::vector<TraceEvent> events = DrainTraceEvents();
+std::vector<TraceEvent> DrainTraceEvents() {
+  std::lock_guard<std::mutex> lock(g_events_mu);
+  std::vector<TraceEvent> out;
+  out.swap(g_events);
+  return out;
+}
+
+int64_t DroppedTraceEvents() {
+  return g_dropped_events.load(std::memory_order_relaxed);
+}
+
+void WriteChromeTrace(const std::vector<TraceEvent>& events,
+                      std::ostream& os) {
   std::vector<CounterSample> samples;
   {
     std::lock_guard<std::mutex> lock(g_samples_mu);
@@ -683,6 +761,12 @@ bool WriteChromeTraceWithCountersFile(const std::string& path) {
     os << buf;
   }
   os << "]}\n";
+}
+
+bool WriteChromeTraceFile(const std::string& path) {
+  std::ofstream os(path);
+  if (!os.good()) return false;
+  WriteChromeTrace(DrainTraceEvents(), os);
   return os.good();
 }
 

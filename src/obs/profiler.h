@@ -1,29 +1,37 @@
-// Op-level performance profiler: per-(op, shape, phase) attribution of the
-// training/inference hot path, with achieved GFLOP/s, arithmetic intensity,
-// a software roofline, and (where the kernel allows) hardware counters.
+// One scope primitive for every timed region: the op profiler's per-(op,
+// shape, phase) tables, the Chrome trace-event buffer, and the optional
+// latency histogram all read the same pair of clock reads.
 //
-//   obs::StartProfiling();
-//   ...run training steps...             // kernels + autograd report in
+//   obs::StartProfiling();                // profiler gate on
+//   obs::SetTracingEnabled(true);         // trace gate on
+//   { HEAD_SCOPE("sim.step", hist); ... } // row + trace event + histogram
 //   obs::StopProfiling();
-//   obs::ProfileReport r = obs::CollectProfile();
-//   std::cout << obs::ProfileToText(r, /*top_n=*/10);
+//   std::cout << obs::ProfileToText(obs::CollectProfile(), /*top_n=*/10);
 //   obs::WriteProfileJsonFile("prof.json");   // tools/profile_diff.py input
+//   obs::WriteChromeTraceFile("trace.json");  // chrome://tracing / Perfetto
 //
-// Instrumentation is the HEAD_SPAN idiom: an RAII OpScope whose constructor
-// is one relaxed atomic load when profiling is disabled (≲1 ns — cheap
-// enough for permanent residence inside every kernel entry point and
-// autograd node). Enabled, a scope costs two clock reads plus ~a dozen
-// relaxed atomic adds into a per-thread open-addressed stats table, so the
-// aggregation itself never locks, allocates, or contends across threads.
+// Gates: profiling and tracing are two bits of one relaxed atomic. A region
+// scope with both off costs one relaxed load and a branch (a few ns — cheap
+// enough for permanent residence in every hot path; tools/check.sh fails
+// when bench/training_throughput's scope_disabled_ns exceeds 5 ns).
+// Enabled, a scope takes two clock reads; the profiler output adds ~a dozen
+// relaxed atomic adds into a per-thread open-addressed stats table (no
+// lock, no heap), the trace output one mutex-guarded append. Three scope
+// shapes:
+//   * HEAD_SCOPE(name): region — profiler row and trace event, each behind
+//     its own gate;
+//   * HEAD_SCOPE(name, histogram): the same, and always timed into the
+//     latency histogram (the coarse stages behind the efficiency tables);
+//   * HEAD_PROF_OP(op, m, n, k, flops, bytes): shaped kernel/autograd op —
+//     profiler only, so traces stay at stage granularity.
 //
-// Attribution model — scopes nest on their thread:
+// Attribution model — profiled scopes nest on their thread:
 //   * total time: wall ns between a scope's open and close;
 //   * self time:  total minus the total of directly nested scopes — the
 //     sorted report ranks by self so nothing is double-counted;
 //   * roots:      scopes with no profiled parent (rl.update, the perception
-//     train step, env.step). coverage = 1 − root_self / root_total is the
-//     fraction of step wall time attributed to finer-grained ops — the
-//     ≥95% target of ISSUE 8.
+//     train epoch, env.step, agent.act). coverage = 1 − root_self /
+//     root_total is the fraction of root wall time attributed to nested rows;
 //   * phase:      forward by default; nn::Backward flips a thread-local so
 //     the same GEMM shape reports separately for fwd and bwd.
 //
@@ -44,27 +52,33 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "obs/span.h"  // NowNs + HEAD_OBS_CONCAT
-
 namespace head::obs {
+
+class Histogram;
+
+/// The one steady clock of the code base: nanoseconds, process-monotonic.
+uint64_t NowNs();
 
 enum class ProfPhase : uint8_t { kForward = 0, kBackward = 1 };
 
 namespace prof_internal {
-extern std::atomic<bool> g_profiling_enabled;
+inline constexpr uint8_t kProfileGate = 1;
+inline constexpr uint8_t kTraceGate = 2;
+extern std::atomic<uint8_t> g_gates;
 extern thread_local ProfPhase t_phase;
-extern thread_local uint64_t* t_child_acc;
 
-void RecordOp(const char* op, ProfPhase phase, int m, int n, int k,
-              uint64_t total_ns, uint64_t self_ns, int64_t flops,
-              int64_t bytes, bool is_root);
+inline uint8_t Gates() { return g_gates.load(std::memory_order_relaxed); }
 }  // namespace prof_internal
 
 inline bool ProfilingEnabled() {
-  return prof_internal::g_profiling_enabled.load(std::memory_order_relaxed);
+  return (prof_internal::Gates() & prof_internal::kProfileGate) != 0;
+}
+inline bool TracingEnabled() {
+  return (prof_internal::Gates() & prof_internal::kTraceGate) != 0;
 }
 
 struct ProfilerOptions {
@@ -82,39 +96,56 @@ void StopProfiling();
 /// Zeroes all accumulated stats without toggling the gate.
 void ResetProfile();
 
-/// RAII attribution scope. With profiling disabled the constructor is a
-/// single relaxed load; enabled it participates in the self-time/root
-/// accounting described above.
-class OpScope {
+/// Runtime switch of the trace gate; scopes opened while it is off emit no
+/// trace event.
+void SetTracingEnabled(bool enabled);
+
+/// RAII timed scope — see the header comment for its three shapes. Each
+/// output is decided when the scope opens, so a gate flipped mid-scope
+/// never unbalances the nesting bookkeeping.
+class Scope {
  public:
-  OpScope(const char* op, int m, int n, int k, int64_t flops, int64_t bytes) {
-    if (!ProfilingEnabled()) return;
-    Begin(op, m, n, k, flops, bytes);
+  /// Region scope: profiler row and trace event, each behind its gate.
+  explicit Scope(const char* name) {
+    const uint8_t gates = prof_internal::Gates();
+    if (gates == 0) return;
+    Begin(name, gates, nullptr, 0, 0, 0, 0, 0);
   }
-  /// Shapeless region scope (rl.update, env.step, …).
-  explicit OpScope(const char* op) : OpScope(op, 0, 0, 0, 0, 0) {}
-  ~OpScope() {
-    if (op_ != nullptr) End();
+  /// Region scope that also observes its duration (seconds) into `hist`;
+  /// timed whatever the gates say.
+  Scope(const char* name, Histogram& hist) {
+    Begin(name, prof_internal::Gates(), &hist, 0, 0, 0, 0, 0);
+  }
+  /// Shaped op scope: profiler row only.
+  Scope(const char* op, int m, int n, int k, int64_t flops, int64_t bytes) {
+    if ((prof_internal::Gates() & prof_internal::kProfileGate) == 0) return;
+    Begin(op, prof_internal::kProfileGate, nullptr, m, n, k, flops, bytes);
+  }
+  ~Scope() {
+    if (name_ != nullptr) End();
   }
 
-  OpScope(const OpScope&) = delete;
-  OpScope& operator=(const OpScope&) = delete;
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
 
  private:
-  void Begin(const char* op, int m, int n, int k, int64_t flops,
-             int64_t bytes);
+  void Begin(const char* name, uint8_t outputs, Histogram* hist, int m,
+             int n, int k, int64_t flops, int64_t bytes);
   void End();
 
-  // Only op_ is initialized on the disabled path (the destructor's gate);
+  // Only name_ is initialized on the disabled path (the destructor's gate);
   // Begin fills everything else, keeping the disabled constructor at one
-  // relaxed load + one store.
-  const char* op_ = nullptr;
+  // relaxed load, a branch and one store.
+  const char* name_ = nullptr;
+  uint8_t outputs_;  // gate bits captured at open
+  ProfPhase phase_;
+  int depth_;        // trace nesting depth on this thread
+  Histogram* hist_;
   int m_, n_, k_;
   int64_t flops_, bytes_;
-  ProfPhase phase_;
   uint64_t start_ns_;
-  uint64_t child_ns_;      // filled by directly nested scopes
-  uint64_t* parent_child_;  // nullptr ⇒ this scope is a root
+  uint64_t child_ns_;       // filled by directly nested profiled scopes
+  uint64_t* parent_child_;  // nullptr ⇒ this scope is a profiler root
 };
 
 /// Marks the current thread as running the given phase for its scope
@@ -222,20 +253,46 @@ std::string ProfileToJson(const ProfileReport& report);
 /// CollectProfile() → ProfileToJson → `path`; false on I/O error.
 bool WriteProfileJsonFile(const std::string& path);
 
-/// Like WriteChromeTraceFile, but merges the drained spans with the
-/// profiler's GFLOP/s / GB/s counter tracks ("ph":"C") sampled during the
-/// session, so Perfetto shows achieved throughput under the span rows.
-bool WriteChromeTraceWithCountersFile(const std::string& path);
+// ---- Trace events ----
+
+/// One completed traced scope. Depth is the nesting level on its thread
+/// (0 = root).
+struct TraceEvent {
+  const char* name;  ///< stored unowned: must outlive the trace
+  uint32_t tid;      ///< small sequential per-thread id
+  int depth;
+  uint64_t start_ns;  ///< NowNs() clock
+  uint64_t dur_ns;
+};
+
+/// Moves out every completed trace event recorded so far (all threads).
+std::vector<TraceEvent> DrainTraceEvents();
+
+/// Trace events dropped because the in-memory buffer hit its cap.
+int64_t DroppedTraceEvents();
+
+/// Chrome trace-event JSON ({"traceEvents":[...]}): one "ph":"X" complete
+/// event per scope (microsecond timestamps), followed by the profiler's
+/// achieved-GFLOP/s and GB/s counter tracks ("ph":"C") when the current
+/// profiling session has sampled any.
+void WriteChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os);
+
+/// Drains all trace events and writes them to `path`; false on I/O error.
+bool WriteChromeTraceFile(const std::string& path);
 
 }  // namespace head::obs
 
-/// Shaped profiled op (kernels, autograd nodes).
-#define HEAD_PROF_OP(op, m, n, k, flops, bytes)      \
-  ::head::obs::OpScope HEAD_OBS_CONCAT(head_prof_, __LINE__)( \
-      op, m, n, k, flops, bytes)
+#define HEAD_OBS_CONCAT_INNER(a, b) a##b
+#define HEAD_OBS_CONCAT(a, b) HEAD_OBS_CONCAT_INNER(a, b)
 
-/// Shapeless profiled region (step roots, phases).
-#define HEAD_PROF_SCOPE(op) \
-  ::head::obs::OpScope HEAD_OBS_CONCAT(head_prof_, __LINE__)(op)
+/// Timed region covering the rest of the enclosing scope:
+/// HEAD_SCOPE(name) or HEAD_SCOPE(name, histogram).
+#define HEAD_SCOPE(...) \
+  ::head::obs::Scope HEAD_OBS_CONCAT(head_scope_, __LINE__)(__VA_ARGS__)
+
+/// Shaped profiled op (kernels, autograd nodes).
+#define HEAD_PROF_OP(op, m, n, k, flops, bytes)                  \
+  ::head::obs::Scope HEAD_OBS_CONCAT(head_prof_, __LINE__)(op, m, n, k, \
+                                                           flops, bytes)
 
 #endif  // HEAD_OBS_PROFILER_H_

@@ -11,7 +11,7 @@
 // failure becomes an inspectable, deterministically replayable artifact
 // (`head_cli replay <manifest>` — see eval/replay.h).
 //
-// Cost model mirrors HEAD_SPAN: with recording disabled (the default) every
+// Cost model mirrors HEAD_SCOPE: with recording disabled (the default) every
 // instrumentation site is one relaxed atomic load and a branch. Enabled,
 // fills are plain stores into the preallocated thread-local scratch and a
 // commit copies it into a preallocated ring slot — no heap allocation on

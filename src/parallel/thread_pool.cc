@@ -1,23 +1,17 @@
 #include "parallel/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <string>
 
 #include "common/check.h"
 #include "obs/metrics.h"
+#include "obs/profiler.h"
 
 namespace head::parallel {
 
 namespace {
-
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// True on threads that are currently inside a pool worker (or inside an
 /// inline ParallelFor chunk). Nested parallel constructs run inline instead
@@ -68,7 +62,7 @@ int ConfiguredThreadCount() {
 }
 
 ThreadPool::ThreadPool(int threads)
-    : threads_(threads), start_seconds_(NowSeconds()) {
+    : threads_(threads), start_seconds_(obs::NowNs() * 1e-9) {
   HEAD_CHECK_GE(threads, 1);
   if (threads_ == 1) return;  // inline mode: no workers, no queue traffic
   workers_.reserve(threads_);
@@ -91,7 +85,7 @@ std::future<void> ThreadPool::Submit(std::function<void()> fn) {
   std::future<void> future = task->get_future();
   Task t;
   t.fn = [task] { (*task)(); };
-  t.enqueue_seconds = NowSeconds();
+  t.enqueue_seconds = obs::NowNs() * 1e-9;
   if (threads_ == 1) {
     RunTask(std::move(t));  // inline: ready before Submit returns
     return future;
@@ -141,10 +135,10 @@ void ThreadPool::RunTask(Task task) {
       obs::LatencyHistogram("parallel.task.queue_wait");
   static obs::Histogram& run_latency =
       obs::LatencyHistogram("parallel.task.run");
-  const double start = NowSeconds();
+  const double start = obs::NowNs() * 1e-9;
   queue_wait.Observe(start - task.enqueue_seconds);
   task.fn();
-  const double elapsed = NowSeconds() - start;
+  const double elapsed = obs::NowNs() * 1e-9 - start;
   run_latency.Observe(elapsed);
   tasks.Add();
   busy_ns_.fetch_add(static_cast<int64_t>(elapsed * 1e9),
@@ -152,7 +146,7 @@ void ThreadPool::RunTask(Task task) {
   // Utilization = busy time across workers / (wall time × pool size). Only
   // meaningful for multi-thread pools; updated per task, which is cheap
   // because tasks are coarse (episodes, ParallelFor chunk batches).
-  const double wall = NowSeconds() - start_seconds_;
+  const double wall = obs::NowNs() * 1e-9 - start_seconds_;
   if (wall > 0 && threads_ > 1) {
     static obs::Gauge& utilization =
         obs::GetGauge("parallel.pool.utilization");
@@ -226,7 +220,7 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
   {
     std::lock_guard<std::mutex> lock(mu_);
     HEAD_CHECK(!stop_);
-    const double now = NowSeconds();
+    const double now = obs::NowNs() * 1e-9;
     for (int64_t h = 0; h < helpers; ++h) {
       Task t;
       t.fn = run_chunks;

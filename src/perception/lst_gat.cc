@@ -3,7 +3,7 @@
 #include <cstdint>
 
 #include "common/check.h"
-#include "obs/span.h"
+#include "obs/profiler.h"
 #include "parallel/thread_pool.h"
 
 namespace head::perception {
@@ -92,7 +92,7 @@ nn::Var LstGat::GatStepStacked(const nn::Var& m, int groups) const {
 
 nn::Var LstGat::ForwardScaledBatch(
     const std::vector<const StGraph*>& graphs) const {
-  HEAD_SPAN("perception.lstgat.forward");
+  HEAD_SCOPE("perception.lstgat.forward");
   HEAD_CHECK(!graphs.empty());
   const int z = graphs[0]->z();
   HEAD_CHECK_GT(z, 0);

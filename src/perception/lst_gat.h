@@ -48,7 +48,7 @@ class LstGat : public StatePredictor {
   bool PlanCapturable() const override { return true; }
   void AppendPlanInputsBatch(const std::vector<const StGraph*>& graphs,
                              std::vector<nn::Tensor>* inputs) const override;
-  const char* ForwardSpanName() const override {
+  const char* ForwardScopeName() const override {
     return "perception.lstgat.forward";
   }
 

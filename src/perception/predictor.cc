@@ -5,7 +5,6 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/recorder.h"
-#include "obs/span.h"
 
 namespace head::perception {
 
@@ -34,10 +33,8 @@ void StatePredictor::AppendPlanInputsBatch(const std::vector<const StGraph*>&,
 }
 
 Prediction StatePredictor::Predict(const StGraph& graph) const {
-  HEAD_SPAN("perception.predict");
-  HEAD_PROF_SCOPE("perception.predict");
   static obs::Histogram& latency = obs::LatencyHistogram("perception.predict");
-  obs::ScopedTimer timer(latency);
+  HEAD_SCOPE("perception.predict", latency);
   // Inference only — don't record an autograd graph for this forward pass,
   // and recycle the previous prediction's tape nodes first.
   nn::ResetTape();
@@ -62,7 +59,7 @@ Prediction StatePredictor::Predict(const StGraph& graph) const {
     }
   }
   if (plan != nullptr) {
-    const obs::ScopedSpan span(ForwardSpanName());
+    HEAD_SCOPE(ForwardScopeName());
     std::vector<nn::Tensor> in;
     AppendPlanInputsBatch({&graph}, &in);
     value = *plan->Replay(std::move(in))[0];

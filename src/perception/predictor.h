@@ -75,10 +75,10 @@ class StatePredictor : public nn::Module {
   /// PlanCapturable().
   virtual void AppendPlanInputsBatch(const std::vector<const StGraph*>& graphs,
                                      std::vector<nn::Tensor>* inputs) const;
-  /// Trace-span name a replayed forward pass is attributed to — the same
-  /// span the model's eager forward opens, so traces look identical
+  /// Scope name a replayed forward pass is attributed to — the same scope
+  /// the model's eager forward opens, so traces and profiles look identical
   /// whether a step ran eagerly or as a plan replay.
-  virtual const char* ForwardSpanName() const { return "perception.forward"; }
+  virtual const char* ForwardScopeName() const { return "perception.forward"; }
 
   /// Inference: decodes ForwardScaled into absolute relative states.
   /// When PlanCapturable() and nn::PlansEnabled(), the forward pass is

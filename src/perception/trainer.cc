@@ -14,7 +14,6 @@
 #include "nn/optimizer.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/span.h"
 
 namespace head::perception {
 
@@ -123,12 +122,11 @@ PredictionTrainResult TrainPredictor(
   PredictionTrainResult result;
   const auto start = std::chrono::steady_clock::now();
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    HEAD_SPAN("perception.train.epoch");
-    obs::ScopedTimer epoch_timer(epoch_latency);
+    HEAD_SCOPE("perception.train.epoch", epoch_latency);
     std::shuffle(order.begin(), order.end(), rng.engine());
     double epoch_loss = 0.0;
     for (size_t b = 0; b < order.size(); b += config.batch_size) {
-      HEAD_PROF_SCOPE("perception.train.step");  // profiler root per batch
+      HEAD_SCOPE("perception.train.step");
       const size_t end = std::min(order.size(), b + config.batch_size);
       nn::ResetTape();  // steady state: the whole batch reuses recycled nodes
       opt.ZeroGrad();

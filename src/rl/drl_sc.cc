@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "obs/profiler.h"
 #include "perception/neighbor.h"
 
 namespace head::rl {
@@ -106,6 +107,7 @@ bool DrlScAgent::IsSafe(const AugmentedState& s, const Maneuver& m) const {
 
 AgentAction DrlScAgent::Act(const AugmentedState& state, double epsilon,
                             Rng& rng) {
+  HEAD_SCOPE("rl.act");
   nn::ResetTape();  // recycle the previous action's graph nodes
   const nn::NoGradGuard no_grad;  // action selection never backprops
   const nn::Tensor q =

@@ -3,7 +3,6 @@
 #include "common/check.h"
 #include "obs/recorder.h"
 #include "obs/profiler.h"
-#include "obs/span.h"
 
 namespace head::rl {
 
@@ -22,8 +21,7 @@ DrivingEnv::DrivingEnv(const EnvConfig& config,
 }
 
 AugmentedState DrivingEnv::Perceive() {
-  HEAD_SPAN("env.perceive");
-  HEAD_PROF_SCOPE("env.perceive");
+  HEAD_SCOPE("env.perceive");
   perception::ObservationFrame frame;
   frame.ego = sim_.ego_state();
   frame.observed = sensor::Observe(sim_.GlobalSnapshot(), sim_.ego_state(),
@@ -56,18 +54,14 @@ std::optional<sim::VehicleSnapshot> DrivingEnv::RealNeighbor(
 }
 
 DrivingEnv::StepOutcome DrivingEnv::Step(const Maneuver& maneuver) {
-  HEAD_SPAN("env.step");
-  HEAD_PROF_SCOPE("env.step");  // profiler root for rollout attribution
+  HEAD_SCOPE("env.step");
   HEAD_CHECK(sim_.status() == sim::EpisodeStatus::kRunning);
 
   // Remember the rear conventional vehicle before acting (impact reward
   // compares its velocity across the transition, Eq. 30).
   const std::optional<sim::VehicleSnapshot> rear_before = RealNeighbor(false);
 
-  const sim::EpisodeStatus status = [&] {
-    HEAD_PROF_SCOPE("env.sim");
-    return sim_.Step(maneuver);
-  }();
+  const sim::EpisodeStatus status = sim_.Step(maneuver);
 
   StepOutcome out;
   out.status = status;

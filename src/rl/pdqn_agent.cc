@@ -7,7 +7,6 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/profiler.h"
-#include "obs/span.h"
 
 namespace head::rl {
 
@@ -47,7 +46,7 @@ PdqnAgent::PdqnAgent(std::string name, const PdqnConfig& config,
 
 AgentAction PdqnAgent::Act(const AugmentedState& state, double epsilon,
                            Rng& rng) {
-  HEAD_PROF_SCOPE("rl.act");  // profiler root for action selection
+  HEAD_SCOPE("rl.act");  // profiler root for action selection
   nn::ResetTape();  // recycle the previous action's graph nodes
   const nn::NoGradGuard no_grad;  // action selection never backprops
   const bool use_plans = nn::PlansEnabled();
@@ -164,7 +163,7 @@ void PdqnAgent::Remember(const AugmentedState& state,
 }
 
 void PdqnAgent::UpdateCritic(const std::vector<const Transition*>& batch) {
-  HEAD_PROF_SCOPE("rl.update_critic");
+  HEAD_SCOPE("rl.update_critic");
   nn::ResetTape();  // steady state: the whole update reuses recycled nodes
   const int b = static_cast<int>(batch.size());
   std::vector<const AugmentedState*> states(b);
@@ -279,7 +278,7 @@ void PdqnAgent::UpdateCritic(const std::vector<const Transition*>& batch) {
 }
 
 void PdqnAgent::UpdateActor(const std::vector<const Transition*>& batch) {
-  HEAD_PROF_SCOPE("rl.update_actor");
+  HEAD_SCOPE("rl.update_actor");
   nn::ResetTape();  // the critic pass's tape is spent at this point
   const int b = static_cast<int>(batch.size());
   std::vector<const AugmentedState*> states(b);
@@ -343,8 +342,7 @@ void PdqnAgent::Update(Rng& rng) {
     train_q = phase == 0;
     train_x = phase == 1;
   }
-  HEAD_SPAN("rl.update");
-  HEAD_PROF_SCOPE("rl.update");  // profiler root: coverage vs nested ops
+  HEAD_SCOPE("rl.update");
   static obs::Counter& updates = obs::GetCounter("rl.updates");
   static obs::Gauge& replay_fill = obs::GetGauge("rl.replay_fill");
   updates.Add();
@@ -352,7 +350,7 @@ void PdqnAgent::Update(Rng& rng) {
                   static_cast<double>(config_.buffer_capacity));
 
   const std::vector<const Transition*> batch = [&] {
-    HEAD_PROF_SCOPE("rl.replay_sample");
+    HEAD_SCOPE("rl.replay_sample");
     return buffer_.Sample(config_.batch_size, rng);
   }();
   if (train_q) UpdateCritic(batch);

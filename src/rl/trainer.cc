@@ -8,8 +8,8 @@
 #include "common/logging.h"
 #include "nn/autograd.h"
 #include "obs/metrics.h"
+#include "obs/profiler.h"
 #include "obs/recorder.h"
-#include "obs/span.h"
 #include "sim/simulation.h"
 
 namespace head::rl {
@@ -177,7 +177,7 @@ RlTrainResult TrainAgent(PamdpAgent& agent, DrivingEnv& env,
     const double epsilon = EpsilonAt(config, ep);
 
     TrainTelemetry& telemetry = TrainTelemetry::Get();
-    HEAD_SPAN("rl.train.episode");
+    HEAD_SCOPE("rl.train.episode");
     telemetry.episodes.Add();
     telemetry.epsilon.Set(epsilon);
 
@@ -260,7 +260,7 @@ RlTrainResult TrainAgent(PamdpAgent& agent, parallel::EnvPool& envs,
       ++next_lr_decay;
     }
 
-    HEAD_SPAN("rl.train.round");
+    HEAD_SCOPE("rl.train.round");
     parallel::EnvPool::RolloutOptions opts;
     opts.seed_base = config.seed;
     opts.max_steps_per_episode = config.max_steps_per_episode;

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "obs/metrics.h"
-#include "obs/span.h"
+#include "obs/profiler.h"
 #include "sensor/occlusion.h"
 
 namespace head::sensor {
@@ -30,7 +30,7 @@ std::vector<sim::VehicleSnapshot> Observe(
     const std::vector<sim::VehicleSnapshot>& global_snapshot,
     const VehicleState& ego, const SensorConfig& sensor,
     const RoadConfig& road) {
-  HEAD_SPAN("sensor.observe");
+  HEAD_SCOPE("sensor.observe");
   static obs::Counter& observations = obs::GetCounter("sensor.observations");
   observations.Add();
   std::vector<sim::VehicleSnapshot> out;

@@ -8,17 +8,10 @@
 #include "nn/arena.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/span.h"
 
 namespace head::serve {
 
 namespace {
-
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 obs::Histogram& BatchSizeHistogram() {
   // Linear 1..128 buckets: batch sizes are small integers and the mean /
@@ -90,7 +83,7 @@ std::future<DecisionReply> DecisionService::SubmitDecision(
   static obs::Counter& rejected = obs::GetCounter("serve.rejected");
   static obs::Gauge& depth = obs::GetGauge("serve.queue_depth");
   requests.Add();
-  const double now = NowSeconds();
+  const double now = obs::NowNs() * 1e-9;
   PendingDecision pending;
   pending.request = std::move(request);
   pending.submit_s = now;
@@ -129,7 +122,7 @@ std::future<PredictionReply> DecisionService::SubmitPrediction(
   static obs::Counter& rejected = obs::GetCounter("serve.rejected");
   static obs::Gauge& depth = obs::GetGauge("serve.queue_depth");
   requests.Add();
-  const double now = NowSeconds();
+  const double now = obs::NowNs() * 1e-9;
   PendingPrediction pending;
   pending.request = std::move(request);
   pending.submit_s = now;
@@ -208,14 +201,14 @@ bool DecisionService::FormAndDispatchLocked(
     const size_t waiting =
         decisions ? decision_queue_.size() : prediction_queue_.size();
     if (static_cast<int>(waiting) >= config_.max_batch) break;
-    const double remaining_s = cut_s - NowSeconds();
+    const double remaining_s = cut_s - obs::NowNs() * 1e-9;
     if (remaining_s <= 0.0) break;
     cv_.wait_for(lock, std::chrono::duration<double>(remaining_s));
   }
 
   // Pop straight into the heap vector the executor will own: one move per
   // request, no re-wrap at dispatch time.
-  const double now = NowSeconds();
+  const double now = obs::NowNs() * 1e-9;
   if (decisions) {
     auto batch = std::make_shared<std::vector<PendingDecision>>();
     batch->reserve(static_cast<size_t>(config_.max_batch));
@@ -273,7 +266,7 @@ void DecisionService::BatcherLoop() {
     FormAndDispatchLocked(lock);
   }
   // Stopped: complete everything still queued as kShutdown.
-  const double now = NowSeconds();
+  const double now = obs::NowNs() * 1e-9;
   while (!decision_queue_.empty()) {
     CompleteWithStatus<PendingDecision, DecisionReply>(
         decision_queue_.front(), ServeStatus::kShutdown, now);
@@ -320,8 +313,6 @@ void DecisionService::DispatchPredictions(
 
 void DecisionService::ExecuteDecisionBatch(
     const ModelSnapshot& snap, std::vector<PendingDecision>& batch) {
-  HEAD_PROF_SCOPE("serve.batch");  // profiler root for the serve hot path
-  HEAD_SPAN("serve.batch");
   static obs::Histogram& exec_latency =
       obs::MicroLatencyHistogram("serve.batch_exec");
   static obs::Histogram& request_latency =
@@ -330,7 +321,7 @@ void DecisionService::ExecuteDecisionBatch(
   static obs::Counter& replies = obs::GetCounter("serve.replies");
   static obs::Counter& alloc_events = obs::GetCounter("serve.alloc_events");
   static obs::Gauge& model_version = obs::GetGauge("serve.model_version");
-  const obs::ScopedTimer timer(exec_latency);
+  HEAD_SCOPE("serve.batch", exec_latency);  // profiler root of the hot path
 
   const size_t n = batch.size();
   std::vector<const rl::AugmentedState*> states;
@@ -346,7 +337,7 @@ void DecisionService::ExecuteDecisionBatch(
   BatchSizeHistogram().Observe(static_cast<double>(n));
   batches.Add();
   model_version.Set(static_cast<double>(snap.version()));
-  const double now = NowSeconds();
+  const double now = obs::NowNs() * 1e-9;
   for (size_t i = 0; i < n; ++i) {
     DecisionReply reply;
     reply.status = ServeStatus::kOk;
@@ -361,8 +352,6 @@ void DecisionService::ExecuteDecisionBatch(
 
 void DecisionService::ExecutePredictionBatch(
     const ModelSnapshot& snap, std::vector<PendingPrediction>& batch) {
-  HEAD_PROF_SCOPE("serve.batch");
-  HEAD_SPAN("serve.batch");
   static obs::Histogram& exec_latency =
       obs::MicroLatencyHistogram("serve.batch_exec");
   static obs::Histogram& request_latency =
@@ -371,7 +360,7 @@ void DecisionService::ExecutePredictionBatch(
   static obs::Counter& replies = obs::GetCounter("serve.replies");
   static obs::Counter& alloc_events = obs::GetCounter("serve.alloc_events");
   static obs::Gauge& model_version = obs::GetGauge("serve.model_version");
-  const obs::ScopedTimer timer(exec_latency);
+  HEAD_SCOPE("serve.batch", exec_latency);  // profiler root of the hot path
 
   const size_t n = batch.size();
   std::vector<const perception::StGraph*> graphs;
@@ -387,7 +376,7 @@ void DecisionService::ExecutePredictionBatch(
   BatchSizeHistogram().Observe(static_cast<double>(n));
   batches.Add();
   model_version.Set(static_cast<double>(snap.version()));
-  const double now = NowSeconds();
+  const double now = obs::NowNs() * 1e-9;
   for (size_t i = 0; i < n; ++i) {
     PredictionReply reply;
     reply.status = ServeStatus::kOk;

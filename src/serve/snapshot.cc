@@ -6,7 +6,6 @@
 #include "nn/autograd.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/span.h"
 
 namespace head::serve {
 
@@ -53,7 +52,7 @@ void ModelSnapshot::DecideBatch(
     DecisionOutput* out) const {
   const int n = static_cast<int>(states.size());
   HEAD_CHECK_GT(n, 0);
-  HEAD_SPAN("serve.decide");
+  HEAD_SCOPE("serve.decide");
   nn::ResetTape();  // recycle the previous batch's nodes on this thread
   const nn::NoGradGuard no_grad;
 
@@ -121,7 +120,7 @@ void ModelSnapshot::PredictBatch(
   const int n = static_cast<int>(graphs.size());
   HEAD_CHECK_GT(n, 0);
   HEAD_CHECK(predictor_ != nullptr);
-  HEAD_SPAN("serve.predict");
+  HEAD_SCOPE("serve.predict");
   nn::ResetTape();
   const nn::NoGradGuard no_grad;
   const perception::FeatureScale& scale = predictor_->scale();
@@ -181,7 +180,7 @@ void ModelSnapshot::PredictBatch(
         }
       }
       if (plan != nullptr) {
-        const obs::ScopedSpan span(predictor_->ForwardSpanName());
+        HEAD_SCOPE(predictor_->ForwardScopeName());
         std::vector<nn::Tensor> in;
         predictor_->AppendPlanInputsBatch(padded, &in);
         value = *plan->Replay(std::move(in))[0];
@@ -219,7 +218,7 @@ ModelSnapshotRegistry::ModelSnapshotRegistry(ModelFactories factories,
 std::shared_ptr<const ModelSnapshot> ModelSnapshotRegistry::Publish(
     const rl::XNet& x, const rl::QNet& q,
     const perception::StatePredictor* predictor) {
-  HEAD_PROF_SCOPE("serve.publish");
+  HEAD_SCOPE("serve.publish");
   // Deep copies run outside the ring lock — weight copies are the expensive
   // part of a publish and must not block Current() readers' lock-free path
   // (they don't) nor live_versions() introspection (they would).

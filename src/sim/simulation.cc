@@ -6,7 +6,7 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
+#include "obs/profiler.h"
 #include "sim/acc.h"
 #include "sim/idm.h"
 #include "sim/krauss.h"
@@ -201,10 +201,9 @@ bool Simulation::EgoCollided(double ego_prev_lon,
 
 EpisodeStatus Simulation::Step(const Maneuver& ego_maneuver) {
   if (status_ != EpisodeStatus::kRunning) return status_;
-  HEAD_SPAN("sim.step");
   static obs::Counter& steps_counter = obs::GetCounter("sim.steps");
   static obs::Histogram& step_latency = obs::LatencyHistogram("sim.step");
-  obs::ScopedTimer step_timer(step_latency);
+  HEAD_SCOPE("sim.step", step_latency);
   steps_counter.Add();
 
   if (std::fabs(ego_maneuver.accel_mps2) > config_.road.a_max_mps2) {

@@ -6,7 +6,6 @@
 #include "decision/idm_lc.h"
 #include "eval/episode_runner.h"
 #include "eval/table.h"
-#include "eval/timer.h"
 
 namespace head::eval {
 namespace {

@@ -14,7 +14,6 @@
 
 #include "obs/perf_counters.h"
 #include "obs/profiler.h"
-#include "obs/span.h"
 #include "parallel/env_pool.h"
 #include "parallel/thread_pool.h"
 #include "rl/env.h"
@@ -26,8 +25,8 @@ namespace {
 /// Busy-waits so a scope has measurable, strictly positive duration even
 /// on coarse clocks (no sleeps: keeps the TSan run fast).
 void SpinNs(uint64_t ns) {
-  const uint64_t until = obs::internal::NowNs() + ns;
-  while (obs::internal::NowNs() < until) {
+  const uint64_t until = obs::NowNs() + ns;
+  while (obs::NowNs() < until) {
   }
 }
 
@@ -93,9 +92,9 @@ TEST(ProfilerTest, AggregatesCountShapeAndFlops) {
 
 TEST(ProfilerTest, SelfTimeAndCoverageFromNesting) {
   StartWallClockProfiling();
-  { HEAD_PROF_SCOPE("test.warmup"); }  // one-time slot-claim cost off-path
+  { HEAD_SCOPE("test.warmup"); }  // one-time slot-claim cost off-path
   for (int i = 0; i < 8; ++i) {
-    HEAD_PROF_SCOPE("test.root");
+    HEAD_SCOPE("test.root");
     SpinNs(1000);  // root self work
     {
       HEAD_PROF_OP("test.child", 4, 4, 0, 0, 0);
@@ -238,7 +237,7 @@ TEST(ProfilerTest, ChromeTraceCarriesCounterTracks) {
 
   const std::string path =
       ::testing::TempDir() + "/obs_profiler_test_trace.json";
-  ASSERT_TRUE(obs::WriteChromeTraceWithCountersFile(path));
+  ASSERT_TRUE(obs::WriteChromeTraceFile(path));
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();
@@ -275,7 +274,7 @@ TEST(ProfilerTest, MultiThreadedEnvPoolRollout) {
 
   StartWallClockProfiling();
   {
-    HEAD_PROF_SCOPE("test.rollout");
+    HEAD_SCOPE("test.rollout");
     const auto results = envs.RunEpisodes(*agent, 0, 8, opts);
     EXPECT_EQ(results.size(), 8u);
   }

@@ -1,15 +1,17 @@
 // Metrics registry (bucket/quantile math, snapshot-and-reset, concurrency)
-// and trace spans (nesting, Chrome trace export, disabled path).
+// and the HEAD_SCOPE primitive (trace nesting, Chrome trace export, disabled
+// path, and the independence of its profiler / trace / histogram outputs).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
+#include "obs/profiler.h"
 
 namespace head::obs {
 namespace {
@@ -200,7 +202,7 @@ TEST(RegistryTest, SnapshotCarriesWallClockTimestamp) {
 TEST(SpanTest, DisabledSpansRecordNothing) {
   SetTracingEnabled(false);
   DrainTraceEvents();
-  { HEAD_SPAN("obs_test.disabled"); }
+  { HEAD_SCOPE("obs_test.disabled"); }
   EXPECT_TRUE(DrainTraceEvents().empty());
 }
 
@@ -209,9 +211,9 @@ TEST(SpanTest, NestedSpansRecordDepthAndContainment) {
   DrainTraceEvents();
   SetTracingEnabled(true);
   {
-    HEAD_SPAN("outer");
+    HEAD_SCOPE("outer");
     {
-      HEAD_SPAN("inner");
+      HEAD_SCOPE("inner");
     }
   }
   SetTracingEnabled(false);
@@ -233,7 +235,7 @@ TEST(SpanTest, ChromeTraceJsonShape) {
   SetTracingEnabled(false);
   DrainTraceEvents();
   SetTracingEnabled(true);
-  { HEAD_SPAN("shape"); }
+  { HEAD_SCOPE("shape"); }
   SetTracingEnabled(false);
   std::ostringstream os;
   WriteChromeTrace(DrainTraceEvents(), os);
@@ -255,12 +257,77 @@ TEST(SpanTest, DroppedEventsCountedAtBufferCap) {
   constexpr size_t kCap = size_t{1} << 21;
   constexpr size_t kExtra = 10;
   for (size_t i = 0; i < kCap + kExtra; ++i) {
-    HEAD_SPAN("drop");
+    HEAD_SCOPE("drop");
   }
   SetTracingEnabled(false);
   EXPECT_EQ(DroppedTraceEvents() - dropped_before,
             static_cast<int64_t>(kExtra));
   EXPECT_EQ(DrainTraceEvents().size(), kCap);
+}
+
+/// The profiler row of a shapeless region scope, or nullptr.
+const OpStats* FindRow(const ProfileReport& report, const std::string& name) {
+  for (const OpStats& op : report.ops) {
+    if (op.op == name) return &op;
+  }
+  return nullptr;
+}
+
+void StartWallClockProfiling() {
+  ProfilerOptions options;
+  options.hw_counters = false;
+  StartProfiling(options);
+}
+
+TEST(ScopeTest, EachOutputFollowsItsOwnGate) {
+  SetTracingEnabled(false);
+  StopProfiling();
+  DrainTraceEvents();
+
+  // Profiling only: a profiler row, no trace event.
+  StartWallClockProfiling();
+  { HEAD_SCOPE("scope_test.profile_only"); }
+  StopProfiling();
+  const ProfileReport profile_only = CollectProfile();
+  const OpStats* row = FindRow(profile_only, "scope_test.profile_only");
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->count, 1);
+  EXPECT_TRUE(DrainTraceEvents().empty());
+
+  // Tracing only: a trace event, no row.
+  SetTracingEnabled(true);
+  { HEAD_SCOPE("scope_test.trace_only"); }
+  SetTracingEnabled(false);
+  std::vector<TraceEvent> events = DrainTraceEvents();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_STREQ(events[0].name, "scope_test.trace_only");
+  EXPECT_EQ(FindRow(CollectProfile(), "scope_test.trace_only"), nullptr);
+
+  // Both on: one row and one event, timed by the same clock reads.
+  StartWallClockProfiling();
+  SetTracingEnabled(true);
+  { HEAD_SCOPE("scope_test.both"); }
+  SetTracingEnabled(false);
+  StopProfiling();
+  const ProfileReport both = CollectProfile();
+  row = FindRow(both, "scope_test.both");
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->count, 1);
+  events = DrainTraceEvents();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_STREQ(events[0].name, "scope_test.both");
+  EXPECT_EQ(row->total_ns, events[0].dur_ns);
+
+  // Both off: a histogram scope still observes exactly once; a plain scope
+  // records nothing anywhere.
+  Histogram hist({1.0});
+  { HEAD_SCOPE("scope_test.off_hist", hist); }
+  { HEAD_SCOPE("scope_test.off"); }
+  EXPECT_EQ(hist.Snapshot().count, 1);
+  EXPECT_TRUE(DrainTraceEvents().empty());
+  const ProfileReport off = CollectProfile();
+  EXPECT_EQ(FindRow(off, "scope_test.off_hist"), nullptr);
+  EXPECT_EQ(FindRow(off, "scope_test.off"), nullptr);
 }
 
 TEST(LoggingTest, LogEveryNFiresOnFirstAndEveryNth) {

@@ -1,7 +1,9 @@
 // End-to-end observability: runs a HEAD-agent episode with tracing on (the
 // same code path `head_cli --trace-out=` exercises), writes the Chrome
-// trace-event JSON, re-parses it, and asserts the span tree is well formed —
-// sensor / prediction / decision spans nested inside each episode step.
+// trace-event JSON, re-parses it, and asserts the scope tree is well formed —
+// sensor / prediction / decision scopes nested inside each episode step.
+// Then replays the episode's decisions with the profiler on and asserts the
+// same stages attribute each decision in the profile.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,9 +15,10 @@
 #include <vector>
 
 #include "core/head_agent.h"
+#include "decision/policy.h"
 #include "eval/trace.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
+#include "obs/profiler.h"
 
 namespace head {
 namespace {
@@ -63,11 +66,37 @@ bool Contains(const ParsedEvent& outer, const ParsedEvent& inner) {
              outer.ts_us + outer.dur_us + kSlackUs;
 }
 
+/// Passes decisions through to `inner`, keeping every view it was shown so
+/// the same episode can be replayed decision by decision.
+class ViewRecorder : public decision::Policy {
+ public:
+  explicit ViewRecorder(decision::Policy& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  void OnEpisodeStart() override { inner_.OnEpisodeStart(); }
+  Maneuver Decide(const decision::EgoView& view) override {
+    views.push_back(view);
+    return inner_.Decide(view);
+  }
+
+  std::vector<decision::EgoView> views;
+
+ private:
+  decision::Policy& inner_;
+};
+
+const obs::OpStats* FindRow(const obs::ProfileReport& report,
+                            const std::string& name) {
+  for (const obs::OpStats& op : report.ops) {
+    if (op.op == name) return &op;
+  }
+  return nullptr;
+}
+
 class ObsTraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::SetTracingEnabled(false);
-    obs::DrainTraceEvents();  // drop spans left over from other tests
+    obs::DrainTraceEvents();  // drop events left over from other tests
   }
   void TearDown() override { obs::SetTracingEnabled(false); }
 };
@@ -89,9 +118,10 @@ TEST_F(ObsTraceTest, HeadEpisodeEmitsWellFormedNestedTrace) {
   trace_config.sim.road.length_m = 150.0;
   trace_config.sim.max_steps = 30;
 
+  ViewRecorder recorder(head);
   obs::SetTracingEnabled(true);
   const eval::EpisodeTrace episode =
-      eval::RecordEpisode(head, trace_config, /*seed=*/7);
+      eval::RecordEpisode(recorder, trace_config, /*seed=*/7);
   obs::SetTracingEnabled(false);
   ASSERT_GT(episode.steps.size(), 0u);
 
@@ -142,7 +172,7 @@ TEST_F(ObsTraceTest, HeadEpisodeEmitsWellFormedNestedTrace) {
     }
   }
 
-  // The per-stage spans nest inside an episode step / the decision span.
+  // The per-stage scopes nest inside an episode step / the decision span.
   std::vector<ParsedEvent> step_spans;
   for (const ParsedEvent& e : events) {
     if (e.name == "episode.step") step_spans.push_back(e);
@@ -172,6 +202,32 @@ TEST_F(ObsTraceTest, HeadEpisodeEmitsWellFormedNestedTrace) {
     }
     EXPECT_TRUE(inside_act) << e.name << " not inside an agent.act span";
   }
+
+  // One profiled pass over the same episode's decisions. Nothing encloses a
+  // decision here, so agent.act must be the only profiler root, and the
+  // five Decide stages rows beneath it, once per decision.
+  ASSERT_EQ(static_cast<long>(recorder.views.size()), steps);
+  head.OnEpisodeStart();
+  obs::ProfilerOptions options;
+  options.hw_counters = false;
+  obs::StartProfiling(options);
+  for (const decision::EgoView& view : recorder.views) head.Decide(view);
+  obs::StopProfiling();
+  const obs::ProfileReport report = obs::CollectProfile();
+  const obs::OpStats* act = FindRow(report, "agent.act");
+  ASSERT_NE(act, nullptr);
+  EXPECT_EQ(act->count, steps);
+  EXPECT_EQ(report.root_total_ns, act->total_ns);
+  uint64_t stage_total = 0;
+  for (const char* stage :
+       {"perception.phantom", "perception.graph", "perception.predict",
+        "perception.augment", "rl.act"}) {
+    const obs::OpStats* row = FindRow(report, stage);
+    ASSERT_NE(row, nullptr) << stage;
+    EXPECT_EQ(row->count, steps) << stage;
+    stage_total += row->total_ns;
+  }
+  EXPECT_LE(stage_total, act->total_ns);
 }
 
 TEST_F(ObsTraceTest, EpisodeUpdatesMetricsRegistry) {

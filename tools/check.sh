@@ -12,7 +12,8 @@
 #      fails if batched training or pooled-rollout throughput regresses more
 #      than 30% — and against the zero-allocation invariant: a warmed-up
 #      training step must perform 0 arena/pool heap events
-#      (--require-zero-allocs). Emits BENCH_training_throughput.json and an
+#      (--require-zero-allocs), and a disabled HEAD_SCOPE must cost at most
+#      5 ns (scope_disabled_ns). Emits BENCH_training_throughput.json and an
 #      obs metrics snapshot (nn_alloc_* gauges) next to the build. Then the
 #      opt-level parity gate: the same bench built RelWithDebInfo (-O2, the
 #      tier-1 build) must reach >= 0.7x of every -O3 gemm_*_avx2_gflops.
@@ -98,6 +99,15 @@ if [[ "${HEAD_SKIP_PERF:-0}" != "1" ]]; then
     --baseline=bench/baselines/training_throughput.json \
     --max-regress=0.30 \
     --require-zero-allocs
+  # Disabled-scope ceiling: HEAD_SCOPE sits permanently in every hot path,
+  # so with profiling and tracing off it must stay a relaxed load + branch.
+  python3 - "${PERF_BUILD_DIR}/BENCH_training_throughput.json" <<'PY'
+import json, sys
+ns = json.load(open(sys.argv[1])).get("scope_disabled_ns")
+if ns is None or ns > 5.0:
+    sys.exit(f"disabled-scope cost: scope_disabled_ns = {ns} (ceiling 5 ns)")
+print(f"ok   scope_disabled_ns: {ns:.2f} ns <= 5 ns")
+PY
   echo "== perf smoke passed (JSON: ${PERF_BUILD_DIR}/BENCH_training_throughput.json) =="
 
   # Opt-level parity: the same bench built in the tier-1 RelWithDebInfo

@@ -16,7 +16,7 @@
 //
 // Global flags (any position):
 //   --metrics-out=<path>   Write a JSON metrics snapshot on exit.
-//   --trace-out=<path>     Enable span tracing; write Chrome trace-event
+//   --trace-out=<path>     Enable tracing; write Chrome trace-event
 //                          JSON on exit (open in chrome://tracing/Perfetto).
 //   --record-dir=<path>    Enable the flight recorder; collisions (and other
 //                          configured triggers) dump JSONL + manifest there.
@@ -42,7 +42,6 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/recorder.h"
-#include "obs/span.h"
 #include "sim/scenario.h"
 
 namespace {
@@ -222,13 +221,8 @@ int main(int argc, char** argv) {
     }
   }
   if (!trace_out.empty()) {
-    // With the profiler on, merge its throughput counter tracks into the
-    // span trace; plain spans otherwise.
-    const bool ok = profile_out.empty()
-                        ? head::obs::WriteChromeTraceFile(trace_out)
-                        : head::obs::WriteChromeTraceWithCountersFile(
-                              trace_out);
-    if (ok) {
+    // With the profiler on, the trace carries its throughput counter tracks.
+    if (head::obs::WriteChromeTraceFile(trace_out)) {
       std::fprintf(stderr, "trace written to %s\n", trace_out.c_str());
     } else {
       std::fprintf(stderr, "cannot write trace to %s\n", trace_out.c_str());
