@@ -8,13 +8,21 @@ namespace head::sim {
 
 RoadView::RoadView(std::vector<VehicleSnapshot> vehicles)
     : sorted_(std::move(vehicles)) {
-  std::sort(sorted_.begin(), sorted_.end(),
-            [](const VehicleSnapshot& a, const VehicleSnapshot& b) {
-              if (a.state.lane != b.state.lane) {
-                return a.state.lane < b.state.lane;
-              }
-              return a.state.lon_m < b.state.lon_m;
-            });
+  std::sort(sorted_.begin(), sorted_.end(), RoadOrderLess);
+  IndexLanes();
+}
+
+RoadView::RoadView(Presorted, std::vector<VehicleSnapshot> sorted)
+    : sorted_(std::move(sorted)) {
+  HEAD_DCHECK(std::is_sorted(sorted_.begin(), sorted_.end(), RoadOrderLess));
+  IndexLanes();
+}
+
+RoadView RoadView::FromSorted(std::vector<VehicleSnapshot> sorted) {
+  return RoadView(Presorted{}, std::move(sorted));
+}
+
+void RoadView::IndexLanes() {
   int begin = 0;
   for (int i = 1; i <= static_cast<int>(sorted_.size()); ++i) {
     if (i == static_cast<int>(sorted_.size()) ||

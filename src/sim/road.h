@@ -17,11 +17,23 @@ struct VehicleSnapshot {
   VehicleState state;
 };
 
-/// Immutable index over a snapshot, sorted by (lane, lon) for O(log n)
+/// The total order of a road snapshot: by lane, then lon, then id. The id
+/// breaks exact lon ties, so every sort of one snapshot agrees.
+inline bool RoadOrderLess(const VehicleSnapshot& a, const VehicleSnapshot& b) {
+  if (a.state.lane != b.state.lane) return a.state.lane < b.state.lane;
+  if (a.state.lon_m != b.state.lon_m) return a.state.lon_m < b.state.lon_m;
+  return a.id < b.id;
+}
+
+/// Immutable index over a snapshot, sorted by RoadOrderLess for O(log n)
 /// leader/follower queries.
 class RoadView {
  public:
   explicit RoadView(std::vector<VehicleSnapshot> vehicles);
+
+  /// Wraps a snapshot that is already in RoadOrderLess order, without
+  /// sorting it again (checked in debug builds).
+  static RoadView FromSorted(std::vector<VehicleSnapshot> sorted);
 
   /// Nearest vehicle strictly ahead of `lon_m` in `lane` (excluding
   /// `exclude_id`), or nullptr.
@@ -34,13 +46,17 @@ class RoadView {
   const VehicleSnapshot* Follower(
       int lane, double lon_m, VehicleId exclude_id = kInvalidVehicleId) const;
 
-  /// All vehicles, sorted by (lane, lon).
+  /// All vehicles, sorted by (lane, lon, id).
   const std::vector<VehicleSnapshot>& vehicles() const { return sorted_; }
 
   /// Finds a vehicle by id (linear scan), or nullptr.
   const VehicleSnapshot* Find(VehicleId id) const;
 
  private:
+  struct Presorted {};
+  RoadView(Presorted, std::vector<VehicleSnapshot> sorted);
+  void IndexLanes();
+
   std::vector<VehicleSnapshot> sorted_;
   // Index of the first vehicle of each lane in sorted_ (lane -> range).
   std::vector<std::pair<int, std::pair<int, int>>> lane_ranges_;

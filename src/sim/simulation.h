@@ -6,12 +6,14 @@
 #ifndef HEAD_SIM_SIMULATION_H_
 #define HEAD_SIM_SIMULATION_H_
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
 #include "obs/recorder.h"
+#include "sim/lane_change.h"
 #include "sim/road.h"
 #include "sim/spawner.h"
 #include "sim/vehicle.h"
@@ -66,13 +68,14 @@ class Simulation {
   /// oracle would see; the sensor model filters this.
   std::vector<VehicleSnapshot> GlobalSnapshot() const;
 
-  /// Indexed view over GlobalSnapshot().
+  /// Indexed view over GlobalSnapshot(), copied from the lane index in
+  /// O(n) without sorting.
   RoadView View() const;
 
   /// Nearest conventional vehicle in the ego's lane strictly ahead of the
   /// ego (`front`) or at or behind it: what View().Leader / Follower
-  /// (ego lane, ego lon, ego id) return, found in one pass over the fleet
-  /// instead of copying and sorting it into a view. nullptr when none.
+  /// (ego lane, ego lon, ego id) return, read off the ego's neighbours in
+  /// the lane index. nullptr when none.
   const Vehicle* EgoNeighbor(bool front) const;
 
   /// Advances one Δt with the given ego maneuver. No-op once terminal.
@@ -85,16 +88,57 @@ class Simulation {
   }
 
  private:
-  double ConventionalAccel(const Vehicle& v, const RoadView& view);
+  // A slot names a vehicle in the lane index: slot i < fleet_.size() is
+  // fleet_[i], slot fleet_.size() is the ego.
+  using Slot = uint32_t;
+  static constexpr int32_t kNoSlot = -1;
+
+  const Vehicle& SlotVehicle(Slot slot) const {
+    return slot < fleet_.size() ? fleet_[slot] : ego_;
+  }
+  const VehicleState& SlotState(Slot slot) const {
+    return SlotVehicle(slot).state;
+  }
+  // Within a lane the index is ordered by (lon, id), RoadOrderLess without
+  // the lane, so that MoveLane finds a slot whose lane already changed.
+  bool SlotBefore(Slot a, Slot b) const;
+  auto InLaneOrder() const {
+    return [this](Slot a, Slot b) { return SlotBefore(a, b); };
+  }
+  // Re-files `slot`, whose lane changed from `from_lane`, in the index.
+  void MoveLane(Slot slot, int from_lane);
+  // Index position of `slot` in its lane.
+  size_t PositionInLane(Slot slot) const;
+  // Leader and follower of run[j] within its own lane (kNoSlot = none).
+  struct LanePair {
+    int32_t leader = kNoSlot;
+    int32_t follower = kNoSlot;
+  };
+  LanePair OwnLaneNeighbors(const std::vector<Slot>& run, size_t j) const;
+
+  double ConventionalAccel(size_t i);
   void ApplyLaneChanges(const Maneuver& ego_maneuver);
-  bool EgoCollided(double ego_prev_lon,
-                   const std::vector<double>& prev_lons) const;
+  bool EgoCollided(double ego_prev_lon) const;
 
   SimConfig config_;
   Rng rng_;
   Vehicle ego_;  // id 0; params unused (externally controlled)
   std::vector<Vehicle> fleet_;
   std::vector<double> last_accels_;
+  // The lane index: lanes_[l] holds the slots of every vehicle in lane l,
+  // the ego included, ordered by (lon, id). It spans lanes 0 to
+  // num_lanes + 1 because the ego may drive one lane off the road. Reset
+  // sorts it; Step keeps it in order (lane changes move slots between
+  // lanes, one insertion pass per lane follows integration).
+  std::vector<std::vector<Slot>> lanes_;
+  // Per-step scratch, reused across steps. Per slot: the IDM free-road term
+  // under the vehicle's own params and under the generic params, and the
+  // leader after lane changes (kNoSlot = none).
+  std::vector<double> own_free_;
+  std::vector<double> generic_free_;
+  std::vector<int32_t> leader_;
+  std::vector<double> prev_lons_;  // fleet lons before the step
+  std::vector<LaneChangeProposal> proposals_;
   EpisodeStatus status_ = EpisodeStatus::kRunning;
   int step_count_ = 0;
 };

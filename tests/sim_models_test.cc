@@ -1,6 +1,9 @@
 // Property tests for the car-following and lane-change models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.h"
 #include "sim/acc.h"
 #include "sim/idm.h"
 #include "sim/krauss.h"
@@ -165,6 +168,39 @@ TEST(MobilTest, LaneChangeSafeRejectsOverlap) {
   ego.id = 7;
   ego.state = {2, 100.0, 20.0};
   EXPECT_FALSE(LaneChangeSafe(view, ego, 1));
+}
+
+TEST(LaneChangeConflictTest, FrontMostWinsPerTargetLane) {
+  std::vector<LaneChangeProposal> proposals = {
+      {0, 2, 100.0},  // 5 m behind the winner in lane 2: dropped
+      {1, 2, 105.0},  // front-most into lane 2
+      {2, 2, 80.0},   // 25 m behind: kept
+      {3, 3, 100.0},  // alone in lane 3
+  };
+  ResolveLaneChangeConflicts(proposals);
+  ASSERT_EQ(proposals.size(), 3u);
+  EXPECT_EQ(proposals[0].index, 1u);
+  EXPECT_EQ(proposals[1].index, 2u);
+  EXPECT_EQ(proposals[2].index, 3u);
+}
+
+TEST(LaneChangeConflictTest, ExactLonTieKeepsLowestFleetIndex) {
+  // 40 vehicles want the same slot of lane 3 from the same lon (from lanes
+  // 2 and 4); whatever order they were proposed in, the lowest fleet index
+  // wins. A second tied group 30 m behind keeps its own lowest index.
+  Rng rng(4);
+  for (int trial = 0; trial < 5; ++trial) {
+    std::vector<LaneChangeProposal> proposals;
+    for (size_t i = 0; i < 40; ++i) {
+      proposals.push_back({100 + i, 3, 250.0});
+      proposals.push_back({200 + i, 3, 220.0});
+    }
+    std::shuffle(proposals.begin(), proposals.end(), rng.engine());
+    ResolveLaneChangeConflicts(proposals);
+    ASSERT_EQ(proposals.size(), 2u);
+    EXPECT_EQ(proposals[0].index, 100u);
+    EXPECT_EQ(proposals[1].index, 200u);
+  }
 }
 
 }  // namespace

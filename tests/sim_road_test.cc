@@ -1,6 +1,10 @@
 #include "sim/road.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace head::sim {
 namespace {
@@ -63,6 +67,36 @@ TEST(RoadViewTest, VehiclesSortedByLaneThenLon) {
         (v[i - 1].state.lane == v[i].state.lane &&
          v[i - 1].state.lon_m <= v[i].state.lon_m);
     EXPECT_TRUE(ordered);
+  }
+}
+
+TEST(RoadViewTest, TiedLonOrdersById) {
+  // 40 vehicles share lon 50 in lane 2 (enough that std::sort does not
+  // fall back to insertion sort), in a shuffled input order; whatever
+  // order they arrive in, they sort by id, so Leader finds the smallest id
+  // and Follower the largest.
+  std::vector<VehicleSnapshot> fleet = {{100, {2, 10.0, 20.0}},
+                                        {101, {2, 90.0, 20.0}}};
+  for (VehicleId id = 1; id <= 40; ++id) fleet.push_back({id, {2, 50.0, 20.0}});
+  Rng rng(9);
+  for (int trial = 0; trial < 5; ++trial) {
+    std::shuffle(fleet.begin(), fleet.end(), rng.engine());
+    const RoadView view(fleet);
+    const auto& sorted = view.vehicles();
+    ASSERT_EQ(sorted.size(), 42u);
+    EXPECT_EQ(sorted.front().id, 100);
+    EXPECT_EQ(sorted.back().id, 101);
+    for (size_t i = 1; i + 1 < sorted.size(); ++i) {
+      EXPECT_EQ(sorted[i].id, static_cast<VehicleId>(i));
+    }
+    EXPECT_EQ(view.Leader(2, 49.0)->id, 1);
+    EXPECT_EQ(view.Follower(2, 50.0)->id, 40);
+    EXPECT_EQ(view.Follower(2, 50.0, /*exclude_id=*/40)->id, 39);
+    EXPECT_EQ(view.Leader(2, 50.0)->id, 101);
+    // A presorted copy indexes the same way.
+    const RoadView copy = RoadView::FromSorted(sorted);
+    EXPECT_EQ(copy.Leader(2, 49.0)->id, 1);
+    EXPECT_EQ(copy.Follower(2, 50.0)->id, 40);
   }
 }
 

@@ -1,10 +1,13 @@
 // Simulation-engine invariants: spawning, stepping, collisions, termination.
 #include "sim/simulation.h"
 
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "sensor/sensor_model.h"
 #include "sim/scenario.h"
 #include "sim/spawner.h"
 
@@ -230,6 +233,84 @@ TEST(SimulationTest, EgoNeighborMatchesRoadViewOverPaperRollout) {
   // Both queries must have been exercised with a vehicle present.
   EXPECT_GT(leaders, 250);
   EXPECT_GT(followers, 250);
+}
+
+// FNV-1a over the bit patterns of everything a rollout step produces.
+class RolloutDigest {
+ public:
+  void Add(uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      hash_ ^= (x >> (8 * b)) & 0xff;
+      hash_ *= 1099511628211ull;
+    }
+  }
+  void Add(double x) { Add(std::bit_cast<uint64_t>(x)); }
+  void Add(int x) { Add(static_cast<uint64_t>(static_cast<int64_t>(x))); }
+  void Add(const VehicleState& s) {
+    Add(s.lane);
+    Add(s.lon_m);
+    Add(s.v_mps);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 1469598103934665603ull;
+};
+
+// Digest of a seeded `steps`-step rollout: per step the sensor's output ids
+// in order, the View() order, the status, the ego and every conventional
+// vehicle's state, and the applied accelerations. The ego follows a seeded
+// random policy (lane changes, including off the road, and accelerations);
+// episodes restart on a new seed when they end.
+uint64_t DigestRollout(const SimConfig& config, uint64_t seed, int steps) {
+  Simulation sim(config, seed);
+  Rng policy(seed ^ 0x9e3779b97f4a7c15ull);
+  RolloutDigest digest;
+  int episodes = 1;
+  for (int step = 0; step < steps; ++step) {
+    for (const VehicleSnapshot& v :
+         sensor::Observe(sim.GlobalSnapshot(), sim.ego_state(),
+                         sensor::SensorConfig{}, config.road)) {
+      digest.Add(static_cast<uint64_t>(v.id));
+    }
+    const RoadView view = sim.View();
+    for (const VehicleSnapshot& v : view.vehicles()) {
+      digest.Add(static_cast<uint64_t>(v.id));
+    }
+    const LaneChange change = policy.Bernoulli(0.2)
+                                  ? (policy.Bernoulli(0.5) ? LaneChange::kLeft
+                                                           : LaneChange::kRight)
+                                  : LaneChange::kKeep;
+    const EpisodeStatus status =
+        sim.Step(Maneuver{change, policy.Uniform(-3.0, 3.0)});
+    digest.Add(static_cast<int>(status));
+    digest.Add(sim.ego_state());
+    for (const Vehicle& v : sim.conventional_vehicles()) {
+      digest.Add(static_cast<uint64_t>(v.id));
+      digest.Add(v.state);
+    }
+    for (const double a : sim.last_conventional_accels()) digest.Add(a);
+    if (status != EpisodeStatus::kRunning) {
+      sim.Reset(seed + episodes++);
+    }
+  }
+  EXPECT_GT(episodes, 2) << "the policy should end several episodes";
+  return digest.value();
+}
+
+TEST(SimulationTest, RolloutDigestMatchesParent) {
+  // The constants were recorded before the lane-sorted fleet index, the
+  // adjacency neighbour search and the cached IDM free-road term replaced
+  // the per-step RoadView sorts and binary searches, and before the
+  // sensor's blocker prefilter: those changes must leave every bit of the
+  // trajectories and observations unchanged.
+  SimConfig no_lane_changes = PaperHighwayScenario();
+  no_lane_changes.conventional_lane_changes = false;
+  EXPECT_EQ(DigestRollout(PaperHighwayScenario(), 11, 300), 0x4cb438f6c0a5fe6eull);
+  EXPECT_EQ(DigestRollout(no_lane_changes, 12, 300), 0x29bd8fa3c1c6b6b6ull);
+  EXPECT_EQ(DigestRollout(BottleneckScenario(), 13, 400), 0x03a69e67bd9ee597ull);
+  EXPECT_EQ(DigestRollout(StopAndGoScenario(), 14, 400), 0x7f3f7c7f2da9cc7dull);
+  EXPECT_EQ(DigestRollout(DenseTrafficScenario(), 15, 400), 0xe73a67dd6af6261full);
 }
 
 }  // namespace

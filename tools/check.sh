@@ -2,6 +2,7 @@
 # CI-style gates beyond plain ctest:
 #   1. Sanitizer stage: builds and runs the concurrency-sensitive tests under
 #      ThreadSanitizer AND AddressSanitizer (+UBSan) — the obs + sim tests,
+#      the road-index and sensor tests (index arithmetic, blocker prefilter),
 #      the batched-ops test that exercises the thread-local grad-mode switch,
 #      the arena/tensor-pool test (cold-vs-warm tape parity, pooled-buffer
 #      recycling — the ASan pass is what proves recycled buffers are never
@@ -63,8 +64,9 @@ fi
 
 SAN_TESTS=(obs_test obs_trace_test obs_recorder_test obs_timeseries_test
            obs_profiler_test flight_replay_test sim_simulation_test
-           sim_models_test nn_batched_ops_test nn_arena_test nn_simd_test
-           nn_plan_test parallel_test parallel_determinism_test serve_test)
+           sim_models_test sim_road_test sensor_test occlusion_property_test
+           nn_batched_ops_test nn_arena_test nn_simd_test nn_plan_test
+           parallel_test parallel_determinism_test serve_test)
 
 for SANITIZER in "${SANITIZERS[@]}"; do
   BUILD_DIR="build-${SANITIZER}san"
@@ -73,7 +75,7 @@ for SANITIZER in "${SANITIZERS[@]}"; do
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "${BUILD_DIR}" -j --target "${SAN_TESTS[@]}"
 
-  echo "== running obs + sim + nn + parallel tests under ${SANITIZER} sanitizer =="
+  echo "== running obs + sim + sensor + nn + parallel tests under ${SANITIZER} sanitizer =="
   for t in "${SAN_TESTS[@]}"; do
     echo "-- ${t} (HEAD_THREADS=4)"
     HEAD_THREADS=4 "${BUILD_DIR}/tests/${t}"
