@@ -50,6 +50,7 @@ void GraphArena::Reset() {
     n.epoch = epoch_;
     if (!n.value.empty()) n.value = Tensor();
     if (!n.grad.empty()) n.grad = Tensor();
+    if (!n.saved.empty()) n.saved = Tensor();
     n.backward = nullptr;
     n.forward = nullptr;
     n.parents.clear();  // keeps capacity for the node's next life

@@ -42,6 +42,9 @@ struct VarImpl {
   double aux_d = 0.0;        // Scale factor, LeakyRelu slope
   int aux_i = 0;             // SliceCols c0 / SliceRows r0 / group size
   std::vector<int> indices;  // gather rows / selected cols / argmax
+  /// Activations an op's backward reads besides its output (the fused LSTM
+  /// cell's gates and tanh(c)); written by its forward, empty elsewhere.
+  Tensor saved;
   /// Op literal for profiler backward attribution; set by MakeResult
   /// whenever `backward` is, so it is never read stale after recycling.
   const char* op_name = nullptr;

@@ -254,6 +254,13 @@ void MatMulBackward(VarImpl& self) {
   if (b->requires_grad) b->AccumGrad(MatMulTransposeA(a->value, self.grad));
 }
 
+void MatMulTransposeBBackward(VarImpl& self) {
+  VarImpl* a = self.parents[0];
+  VarImpl* b = self.parents[1];
+  if (a->requires_grad) a->AccumGrad(MatMul(self.grad, b->value));
+  if (b->requires_grad) b->AccumGrad(MatMulTransposeA(self.grad, a->value));
+}
+
 void AffineBackward(VarImpl& self) {
   VarImpl* a = self.parents[0];
   VarImpl* b = self.parents[1];
@@ -351,6 +358,13 @@ void MatMulForward(VarImpl& self) {
   self.value = MatMul(a, b);
 }
 
+void MatMulTransposeBForward(VarImpl& self) {
+  const Tensor& a = self.parents[0]->value;
+  const Tensor& b = self.parents[1]->value;
+  HEAD_PROF_OP("nn.MatMulTransposeB", a.rows(), b.rows(), a.cols(), 0, 0);
+  self.value = MatMulTransposeB(a, b);
+}
+
 void AffineForward(VarImpl& self) {
   const Tensor& a = self.parents[0]->value;
   const Tensor& b = self.parents[1]->value;
@@ -441,6 +455,15 @@ Var MatMul(const Var& a, const Var& b) {
                     MatMulForward);
 }
 
+Var MatMulTransposeB(const Var& a, const Var& b) {
+  HEAD_CHECK_EQ(a.value().cols(), b.value().cols());
+  HEAD_PROF_OP("nn.MatMulTransposeB", a.value().rows(), b.value().rows(),
+               a.value().cols(), 0, 0);
+  Tensor out = MatMulTransposeB(a.value(), b.value());
+  return MakeResult("nn.MatMulTransposeB", std::move(out), {&a, &b},
+                    MatMulTransposeBBackward, MatMulTransposeBForward);
+}
+
 Var Affine(const Var& a, const Var& b, const Var& bias) {
   HEAD_PROF_OP("nn.Affine", a.value().rows(), b.value().cols(),
                a.value().cols(), 0, 0);
@@ -484,6 +507,143 @@ Var DualAffine(const Var& a1, const Var& b1, const Var& a2, const Var& b2,
   return MakeResult("nn.DualAffine", std::move(out),
                     {&a1, &b1, &a2, &b2, &bias}, DualAffineBackward,
                     DualAffineForward);
+}
+
+namespace {
+
+// ---- The fused LSTM cell ----
+//
+// Node c: parents {gates, c_prev}, value c, saved the (rows × 4h) gate
+// activations [i f g o]. Node h: parents {gates, c}, value h, saved
+// tanh(c); its forward reads σ(o) from c's saved block. The backward
+// formulas are the unfused ops' own, association included — for example
+// (dh·tanh c)·(o·(1 − o)) is Mul's backward followed by Sigmoid's — so with
+// the scalar kernels a whole training step is bitwise the composition.
+
+/// The parent's grad as an accumulation buffer, zero-filled on first touch.
+/// Adding into zeros turns a −0 entry into +0, exactly as summing the
+/// unfused cell's four zero-padded slice gradients does.
+double* GradBuffer(VarImpl* p) {
+  if (p->grad.empty()) {
+    p->grad = Tensor::Zeros(p->value.rows(), p->value.cols());
+  }
+  return p->grad.data().data();
+}
+
+/// The parent's grad for AccumGrad's adopt-or-add without the temporary:
+/// allocated uninitialised when still empty, and `*fresh` then tells the
+/// caller to store each entry rather than add it.
+double* AdoptOrAddBuffer(VarImpl* p, bool* fresh) {
+  *fresh = p->grad.empty();
+  if (*fresh) p->grad = Tensor::Uninitialized(p->value.rows(), p->value.cols());
+  return p->grad.data().data();
+}
+
+void LstmCellBackward(VarImpl& self) {
+  VarImpl* gates = self.parents[0];
+  VarImpl* c_prev = self.parents[1];
+  const int rows = self.value.rows();
+  const int h = self.value.cols();
+  const double* dc = self.grad.data().data();
+  const double* cp = c_prev->value.data().data();
+  double* dg = gates->requires_grad ? GradBuffer(gates) : nullptr;
+  bool fresh = false;
+  double* dcp =
+      c_prev->requires_grad ? AdoptOrAddBuffer(c_prev, &fresh) : nullptr;
+  for (int r = 0; r < rows; ++r) {
+    const size_t row = static_cast<size_t>(r) * h;
+    const double* a = self.saved.data().data() + 4 * row;  // [i f g o]
+    for (int j = 0; j < h; ++j) {
+      const double d = dc[row + j];
+      const double i = a[j], f = a[h + j], g = a[2 * h + j];
+      if (dg != nullptr) {
+        double* dgr = dg + 4 * row;
+        dgr[j] += (d * g) * (i * (1.0 - i));
+        dgr[h + j] += (d * cp[row + j]) * (f * (1.0 - f));
+        dgr[2 * h + j] += (d * i) * (1.0 - g * g);
+      }
+      if (dcp != nullptr) {
+        dcp[row + j] = fresh ? d * f : dcp[row + j] + d * f;
+      }
+    }
+  }
+}
+
+void LstmHiddenBackward(VarImpl& self) {
+  VarImpl* gates = self.parents[0];
+  VarImpl* c = self.parents[1];
+  const int rows = self.value.rows();
+  const int h = self.value.cols();
+  const double* t = self.saved.data().data();
+  const double* dh = self.grad.data().data();
+  double* dg = gates->requires_grad ? GradBuffer(gates) : nullptr;
+  bool fresh = false;
+  double* dc = c->requires_grad ? AdoptOrAddBuffer(c, &fresh) : nullptr;
+  for (int r = 0; r < rows; ++r) {
+    const size_t row = static_cast<size_t>(r) * h;
+    const double* o = c->saved.data().data() + 4 * row + 3 * h;
+    for (int j = 0; j < h; ++j) {
+      const double d = dh[row + j], tj = t[row + j];
+      if (dg != nullptr) {
+        dg[4 * row + 3 * h + j] += (d * tj) * (o[j] * (1.0 - o[j]));
+      }
+      if (dc != nullptr) {
+        const double v = (d * o[j]) * (1.0 - tj * tj);
+        dc[row + j] = fresh ? v : dc[row + j] + v;
+      }
+    }
+  }
+}
+
+/// Gives `t` the shape rows × cols, keeping its buffer when it already has
+/// it: a replayed cell node writes into the tensors it filled last time, so
+/// steady-state replay takes nothing from the tensor pool for it.
+double* Reuse(Tensor& t, int rows, int cols) {
+  if (t.rows() != rows || t.cols() != cols) {
+    t = Tensor::Uninitialized(rows, cols);
+  }
+  return t.data().data();
+}
+
+/// c and the gate activations from the parents' values, into `self`.
+void RunLstmCell(const Tensor& gates, const Tensor& c_prev, VarImpl& self) {
+  const int rows = c_prev.rows(), h = c_prev.cols();
+  HEAD_PROF_OP("nn.LstmCell", rows, h, 0, 0, 0);
+  kernels::LstmCell(rows, h, gates.data().data(), c_prev.data().data(),
+                    Reuse(self.saved, rows, 4 * h), Reuse(self.value, rows, h));
+}
+
+/// h and tanh(c) from the c node, into `self`.
+void RunLstmHidden(const VarImpl& c_node, VarImpl& self) {
+  const int rows = c_node.value.rows(), h = c_node.value.cols();
+  HEAD_PROF_OP("nn.LstmHidden", rows, h, 0, 0, 0);
+  kernels::LstmHidden(rows, h, c_node.saved.data().data(),
+                      c_node.value.data().data(), Reuse(self.saved, rows, h),
+                      Reuse(self.value, rows, h));
+}
+
+void LstmCellForward(VarImpl& self) {
+  RunLstmCell(self.parents[0]->value, self.parents[1]->value, self);
+}
+
+void LstmHiddenForward(VarImpl& self) { RunLstmHidden(*self.parents[1], self); }
+
+}  // namespace
+
+LstmCellVars LstmCellStep(const Var& gates, const Var& c_prev) {
+  const int rows = c_prev.value().rows(), h = c_prev.value().cols();
+  HEAD_CHECK_EQ(gates.value().rows(), rows);
+  HEAD_CHECK_EQ(gates.value().cols(), 4 * h);
+  // The nodes are made first and filled in place, so the eager and the
+  // replay forward are one function.
+  LstmCellVars out;
+  out.c = MakeResult("nn.LstmCell", Tensor(), {&gates, &c_prev},
+                     LstmCellBackward, LstmCellForward);
+  RunLstmCell(gates.value(), c_prev.value(), *out.c.node());
+  out.h = MakeResult("nn.LstmHidden", Tensor(), {&gates, &out.c},
+                     LstmHiddenBackward, LstmHiddenForward);
+  RunLstmHidden(*out.c.node(), *out.h.node());
+  return out;
 }
 
 Var Add(const Var& a, const Var& b) {
@@ -1018,6 +1178,38 @@ void SumRowGroupsBackward(VarImpl& self) {
   a->AccumGrad(std::move(g));
 }
 
+void GroupPairSumBackward(VarImpl& self) {
+  VarImpl* s = self.parents[0];
+  const int n = self.aux_i;
+  Tensor g = Tensor::Zeros(s->value.rows(), 2);
+  for (int gi = 0; gi < self.grad.rows(); ++gi) {
+    double first = 0.0;
+    for (int j = 0; j < n; ++j) {
+      const double d = self.grad.At(gi, j);
+      g.At(gi * n + j, 1) = d;
+      first += d;
+    }
+    g.At(gi * n, 0) = first;
+  }
+  s->AccumGrad(std::move(g));
+}
+
+/// out[g, j] = s[g·n, 0] + s[g·n + j, 1], into `out` (G × n).
+void RunGroupPairSum(const Tensor& s, int n, Tensor& out) {
+  HEAD_PROF_OP("nn.GroupPairSum", out.rows(), n, 0, int64_t{out.size()},
+               int64_t{24} * out.size());
+  for (int gi = 0; gi < out.rows(); ++gi) {
+    const double first = s.At(gi * n, 0);
+    for (int j = 0; j < n; ++j) out.At(gi, j) = first + s.At(gi * n + j, 1);
+  }
+}
+
+void GroupPairSumForward(VarImpl& self) {
+  Tensor out = Tensor::Uninitialized(self.value.rows(), self.value.cols());
+  RunGroupPairSum(self.parents[0]->value, self.aux_i, out);
+  self.value = std::move(out);
+}
+
 void GatherRowsForward(VarImpl& self) {
   const Tensor& av = self.parents[0]->value;
   const int cols = av.cols();
@@ -1216,6 +1408,19 @@ Var SumRowGroups(const Var& a, int group_size) {
   }
   Var result = MakeResult("nn.SumRowGroups", std::move(out), {&a},
                           SumRowGroupsBackward, SumRowGroupsForward);
+  result.node()->aux_i = group_size;
+  return result;
+}
+
+Var GroupPairSum(const Var& s, int group_size) {
+  const Tensor& sv = s.value();
+  HEAD_CHECK_GT(group_size, 0);
+  HEAD_CHECK_EQ(sv.cols(), 2);
+  HEAD_CHECK_EQ(sv.rows() % group_size, 0);
+  Tensor out = Tensor::Uninitialized(sv.rows() / group_size, group_size);
+  RunGroupPairSum(sv, group_size, out);
+  Var result = MakeResult("nn.GroupPairSum", std::move(out), {&s},
+                          GroupPairSumBackward, GroupPairSumForward);
   result.node()->aux_i = group_size;
   return result;
 }

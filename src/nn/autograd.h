@@ -101,6 +101,9 @@ class NoGradGuard {
 // ---- Differentiable ops ----
 
 Var MatMul(const Var& a, const Var& b);
+/// a·bᵀ with b stored (n×k) — for products whose right operand is a
+/// parameter laid out row-wise (LST-GAT's folded attention matrix).
+Var MatMulTransposeB(const Var& a, const Var& b);
 /// Fused a·b + row-broadcast bias — one graph node and one output traversal
 /// instead of the MatMul + AddRowBroadcast pair (see nn::Affine on Tensor).
 Var Affine(const Var& a, const Var& b, const Var& bias);
@@ -120,6 +123,22 @@ Var AffineAct(const Var& a, const Var& b, const Var& bias, FusedAct act,
 /// saving the Add node and a full gate-width temporary per step.
 Var DualAffine(const Var& a1, const Var& b1, const Var& a2, const Var& b2,
                const Var& bias);
+
+/// The c and h of one LSTM step (see LstmCellStep).
+struct LstmCellVars {
+  Var c;
+  Var h;
+};
+
+/// The fused LSTM cell: from the (rows × 4h) gate pre-activations in
+/// [i f g o] order and the (rows × h) previous cell state,
+/// c = σ(f)⊙c_prev + σ(i)⊙tanh(g) and h = σ(o)⊙tanh(c), as two graph nodes
+/// with no per-gate slice, activation or product nodes. The c node keeps
+/// the four gate activations and the h node tanh(c); each backward reads
+/// them instead of recomputing. Arithmetic and routing are
+/// kernels::LstmCell's: with fast_math off, bitwise the unfused composition.
+LstmCellVars LstmCellStep(const Var& gates, const Var& c_prev);
+
 Var Add(const Var& a, const Var& b);
 Var Sub(const Var& a, const Var& b);
 Var Mul(const Var& a, const Var& b);  // elementwise
@@ -168,6 +187,11 @@ Var ScaleRows(const Var& a, const Var& scale);
 /// Sums each consecutive group of `group_size` rows: (G·group_size × cols)
 /// → (G × cols). The block-diagonal aggregation of the batched GAT step.
 Var SumRowGroups(const Var& a, int group_size);
+
+/// (G·n × 2) → (G × n) with out[g, j] = s[g·n, 0] + s[g·n + j, 1]: pairs
+/// each group's first row (column 0) with every row of the group
+/// (column 1) — the folded attention score of LST-GAT's Eq. (10).
+Var GroupPairSum(const Var& s, int group_size);
 
 Var Sum(const Var& a);   // 1×1
 Var Mean(const Var& a);  // 1×1

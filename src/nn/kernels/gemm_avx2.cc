@@ -15,7 +15,9 @@
 // folds in a different fixed order than the n>1 kernels).
 //
 // Elementwise kernels use no FMA and only correctly-rounded lane ops, so
-// they are bitwise-equal to the scalar backend (tested exactly).
+// they are bitwise-equal to the scalar backend (tested exactly). The fused
+// LSTM cell is the exception: it is fast_math-gated like the GEMMs, and
+// trades libm for a polynomial exp (≤ 1e-14 absolute on sigmoid and tanh).
 #if defined(__AVX2__) && defined(__FMA__)
 
 #include <immintrin.h>
@@ -30,6 +32,11 @@ namespace head::nn::kernels::internal {
 namespace {
 
 constexpr int kMr = 4;  // microkernel rows (broadcast lanes)
+// Rows of the widest strip: 12 accumulators, two B halves and a broadcast
+// fill 15 of the 16 ymm registers. Run only where a 4 + 2 split would
+// stream B twice (the last six rows of an m ≡ 2 mod 4 block — the whole
+// of a B = 1 LST-GAT gate GEMM, m = 6).
+constexpr int kMrWide = 6;
 static_assert(kPanelWidth == 8, "microkernel assumes 8-column panels");
 
 /// Lane mask for the first `count` (0..4) lanes of a 4-double vector.
@@ -125,12 +132,13 @@ HEAD_KERNEL_INLINE void Fma(double a, Lanes b, Lanes& acc) {
   acc.hi = _mm256_fmadd_pd(va, b.hi, acc.hi);
 }
 
-/// One R×8 output block (R ≤ 4 rows, one 8-column panel), the body shared
+/// One R×8 output block (R ≤ 6 rows, one 8-column panel), the body shared
 /// by the packed and the in-place routes. The 2R accumulators are named
 /// locals touched only at compile-time row indices, so they stay in ymm
 /// registers at -O2 as well as -O3. (An `acc[4][2]` array walked by a
 /// runtime row loop is not: at -O2 GCC 12 keeps it on the stack and every
-/// fma reads and writes memory.)
+/// fma reads and writes memory.) R > 4 is instantiated for full panels
+/// only: the partial panel's two mask registers would not fit.
 ///
 /// A is read in place: row r, step kk is a[r·a_row_stride + kk·a_k_stride].
 /// B step kk is the 8 doubles at b + kk·ldb: either a zero-padded packed
@@ -145,18 +153,20 @@ HEAD_KERNEL_INLINE void MicroKernel(int k, const double* a,
                                     const double* b, size_t ldb,
                                     const double* bias, GemmInit init,
                                     double* c, size_t ldc, int cols) {
-  static_assert(R >= 1 && R <= kMr);
+  static_assert(R >= 1 && R <= kMrWide);
   const bool full = cols == kPanelWidth;
   const PanelMask mask = full ? PanelMask{} : MaskFor(cols);
-  Lanes c0{}, c1{}, c2{}, c3{};
+  Lanes c0{}, c1{}, c2{}, c3{}, c4{}, c5{};
   if (init == GemmInit::kBias) {
     c0 = kMaskB ? LoadMasked(bias, mask) : LoadFull(bias);
-    c1 = c2 = c3 = c0;
+    c1 = c2 = c3 = c4 = c5 = c0;
   } else if (init == GemmInit::kAccumulate) {
     c0 = Load(c, full, mask);
     if constexpr (R > 1) c1 = Load(c + ldc, full, mask);
     if constexpr (R > 2) c2 = Load(c + 2 * ldc, full, mask);
     if constexpr (R > 3) c3 = Load(c + 3 * ldc, full, mask);
+    if constexpr (R > 4) c4 = Load(c + 4 * ldc, full, mask);
+    if constexpr (R > 5) c5 = Load(c + 5 * ldc, full, mask);
   }
   const int steps = K > 0 ? K : k;
   // -O2 does not unroll this loop by itself; its control rivals the 2R
@@ -170,11 +180,15 @@ HEAD_KERNEL_INLINE void MicroKernel(int k, const double* a,
     if constexpr (R > 1) Fma(ak[a_row_stride], bv, c1);
     if constexpr (R > 2) Fma(ak[2 * a_row_stride], bv, c2);
     if constexpr (R > 3) Fma(ak[3 * a_row_stride], bv, c3);
+    if constexpr (R > 4) Fma(ak[4 * a_row_stride], bv, c4);
+    if constexpr (R > 5) Fma(ak[5 * a_row_stride], bv, c5);
   }
   Store(c, c0, full, mask);
   if constexpr (R > 1) Store(c + ldc, c1, full, mask);
   if constexpr (R > 2) Store(c + 2 * ldc, c2, full, mask);
   if constexpr (R > 3) Store(c + 3 * ldc, c3, full, mask);
+  if constexpr (R > 4) Store(c + 4 * ldc, c4, full, mask);
+  if constexpr (R > 5) Store(c + 5 * ldc, c5, full, mask);
 }
 
 /// One R-row strip of C across every 8-column panel. kInPlaceB: B is
@@ -191,7 +205,21 @@ void RowStrip(int n, int k, const double* a, size_t a_row_stride,
     const int cols = n - j0 < kPanelWidth ? n - j0 : kPanelWidth;
     const double* bpanel = b + static_cast<size_t>(p) * panel_step;
     const double* bias_j = bias == nullptr ? nullptr : bias + j0;
-    if (kInPlaceB && cols < kPanelWidth) {
+    if constexpr (R > kMr) {
+      const size_t ldc = static_cast<size_t>(n);
+      if (cols == kPanelWidth) {
+        MicroKernel<R, false, K>(k, a, a_row_stride, a_k_stride, bpanel, ldb,
+                                 bias_j, init, c + j0, ldc, kPanelWidth);
+      } else {
+        // The partial panel of a wide strip runs as 4 + (R − 4) rows.
+        MicroKernel<kMr, kInPlaceB, K>(k, a, a_row_stride, a_k_stride,
+                                       bpanel, ldb, bias_j, init, c + j0, ldc,
+                                       cols);
+        MicroKernel<R - kMr, kInPlaceB, K>(
+            k, a + kMr * a_row_stride, a_row_stride, a_k_stride, bpanel, ldb,
+            bias_j, init, c + kMr * ldc + j0, ldc, cols);
+      }
+    } else if (kInPlaceB && cols < kPanelWidth) {
       MicroKernel<R, kInPlaceB, K>(k, a, a_row_stride, a_k_stride, bpanel,
                                    ldb, bias_j, init, c + j0,
                                    static_cast<size_t>(n), cols);
@@ -204,7 +232,8 @@ void RowStrip(int n, int k, const double* a, size_t a_row_stride,
 }
 
 /// C(m×n) ⟵ init ⊕ A·B in 4-row strips plus one strip of the m mod 4 rows
-/// left over, each at its own R (no zero-padded rows, no scalar tail).
+/// left over, each at its own R (no zero-padded rows, no scalar tail); the
+/// last six rows of an m ≡ 2 (mod 4) block run as one 6-row strip.
 template <bool kInPlaceB, int K = 0>
 void GemmBlocked(int m, int n, int k, const double* a, size_t a_row_stride,
                  size_t a_k_stride, const double* b, const double* bias,
@@ -212,6 +241,11 @@ void GemmBlocked(int m, int n, int k, const double* a, size_t a_row_stride,
   for (int i0 = 0; i0 < m; i0 += kMr) {
     const double* ai = a + static_cast<size_t>(i0) * a_row_stride;
     double* ci = c + static_cast<size_t>(i0) * n;
+    if (m - i0 == kMrWide) {
+      RowStrip<kMrWide, kInPlaceB, K>(n, k, ai, a_row_stride, a_k_stride, b,
+                                      bias, init, ci);
+      return;
+    }
     switch (m - i0 < kMr ? m - i0 : kMr) {
       case 4:
         RowStrip<4, kInPlaceB, K>(n, k, ai, a_row_stride, a_k_stride, b, bias,
@@ -523,6 +557,132 @@ void Avx2AdamStep(int n, double lr, double beta1, double beta2, double eps,
   }
 }
 
+// ---- Fused LSTM cell (fast_math only): polynomial transcendentals ----
+//
+// exp(x) by Cody–Waite reduction: n = round(x·log2 e), r = x − n·ln2 with
+// ln2 split in two (n·ln2_hi is exact for |n| < 2^11), e^r by its degree-13
+// Taylor polynomial (|r| ≤ ln2/2, truncation < 1e-17 relative), times 2^n
+// built in the exponent field. x is clamped to [−708, 709] first; beyond
+// it the result saturates to 0 or +inf. The clamp's operand order keeps a
+// NaN (vminpd/vmaxpd return the second operand when either is NaN), and the
+// polynomial then carries it through. Every step is lane-wise, so a lane's
+// bits depend on its input alone.
+
+HEAD_KERNEL_INLINE __m256d ExpPoly(__m256d x) {
+  const __m256d kHi = _mm256_set1_pd(709.0);
+  const __m256d kLo = _mm256_set1_pd(-708.0);
+  const __m256d xc = _mm256_max_pd(kLo, _mm256_min_pd(kHi, x));
+  const __m256d n = _mm256_round_pd(
+      _mm256_mul_pd(xc, _mm256_set1_pd(1.4426950408889634)),
+      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m256d r = _mm256_fnmadd_pd(n, _mm256_set1_pd(6.93147180369123816490e-01),
+                               xc);
+  r = _mm256_fnmadd_pd(n, _mm256_set1_pd(1.90821492927058770002e-10), r);
+  // Estrin's scheme: pairs, then powers r², r⁴, r⁸ — 16 cycles of FMA
+  // latency where Horner's 13 dependent steps take 52.
+  const auto pair = [&](double lo, double hi) {
+    return _mm256_fmadd_pd(_mm256_set1_pd(hi), r, _mm256_set1_pd(lo));
+  };
+  const __m256d r2 = _mm256_mul_pd(r, r);
+  const __m256d r4 = _mm256_mul_pd(r2, r2);
+  const __m256d r8 = _mm256_mul_pd(r4, r4);
+  const __m256d q0 =
+      _mm256_fmadd_pd(pair(1.0 / 2, 1.0 / 6), r2, pair(1.0, 1.0));
+  const __m256d q1 = _mm256_fmadd_pd(pair(1.0 / 720, 1.0 / 5040), r2,
+                                     pair(1.0 / 24, 1.0 / 120));
+  const __m256d q2 = _mm256_fmadd_pd(pair(1.0 / 3628800, 1.0 / 39916800),
+                                     r2, pair(1.0 / 40320, 1.0 / 362880));
+  const __m256d q3 = pair(1.0 / 479001600, 1.0 / 6227020800);
+  const __m256d p = _mm256_fmadd_pd(
+      _mm256_fmadd_pd(q3, r4, q2), r8, _mm256_fmadd_pd(q1, r4, q0));
+  // 2^n for n in [−1022, 1023]: (n + 1023) in the exponent field.
+  const __m256i bits = _mm256_slli_epi64(
+      _mm256_add_epi64(_mm256_cvtepi32_epi64(_mm256_cvtpd_epi32(n)),
+                       _mm256_set1_epi64x(1023)),
+      52);
+  __m256d y = _mm256_mul_pd(p, _mm256_castsi256_pd(bits));
+  y = _mm256_blendv_pd(y, _mm256_set1_pd(HUGE_VAL),
+                       _mm256_cmp_pd(x, kHi, _CMP_GT_OQ));
+  return _mm256_blendv_pd(y, _mm256_setzero_pd(),
+                          _mm256_cmp_pd(x, kLo, _CMP_LT_OQ));
+}
+
+/// 1/(1 + e^(−x)): 1 for x > 708, +0 for x < −709, NaN for NaN.
+HEAD_KERNEL_INLINE __m256d SigmoidPoly(__m256d x) {
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d e = ExpPoly(_mm256_xor_pd(x, _mm256_set1_pd(-0.0)));
+  return _mm256_div_pd(one, _mm256_add_pd(one, e));
+}
+
+/// sign(x)·(1 − e)/(1 + e) with e = e^(−2|x|): exactly ±1 once e < 2^−54,
+/// ±0 at ±0, NaN for NaN.
+HEAD_KERNEL_INLINE __m256d TanhPoly(__m256d x) {
+  const __m256d sign_bit = _mm256_set1_pd(-0.0);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d ax = _mm256_andnot_pd(sign_bit, x);
+  const __m256d e = ExpPoly(_mm256_mul_pd(ax, _mm256_set1_pd(-2.0)));
+  const __m256d t =
+      _mm256_div_pd(_mm256_sub_pd(one, e), _mm256_add_pd(one, e));
+  return _mm256_or_pd(t, _mm256_and_pd(x, sign_bit));
+}
+
+/// Loads `count` (1..4) lanes; the rest read as +0 and are never stored.
+HEAD_KERNEL_INLINE __m256d LoadLanes(const double* p, int count) {
+  return count == 4 ? _mm256_loadu_pd(p)
+                    : _mm256_maskload_pd(p, TailMask(count));
+}
+
+HEAD_KERNEL_INLINE void StoreLanes(double* p, __m256d v, int count) {
+  if (count == 4) {
+    _mm256_storeu_pd(p, v);
+  } else {
+    _mm256_maskstore_pd(p, TailMask(count), v);
+  }
+}
+
+void Avx2LstmCell(int rows, int hidden, const double* gates,
+                  const double* c_prev, double* acts, double* c) {
+  const size_t h = static_cast<size_t>(hidden);
+  for (int r = 0; r < rows; ++r) {
+    const double* pre = gates + r * 4 * h;
+    double* act = acts + r * 4 * h;
+    const double* cp = c_prev + r * h;
+    double* cn = c + r * h;
+    for (size_t j = 0; j < h; j += 4) {
+      const int lanes = h - j < 4 ? static_cast<int>(h - j) : 4;
+      const __m256d i = SigmoidPoly(LoadLanes(pre + j, lanes));
+      const __m256d f = SigmoidPoly(LoadLanes(pre + h + j, lanes));
+      const __m256d g = TanhPoly(LoadLanes(pre + 2 * h + j, lanes));
+      const __m256d o = SigmoidPoly(LoadLanes(pre + 3 * h + j, lanes));
+      StoreLanes(act + j, i, lanes);
+      StoreLanes(act + h + j, f, lanes);
+      StoreLanes(act + 2 * h + j, g, lanes);
+      StoreLanes(act + 3 * h + j, o, lanes);
+      // (f·c_prev) + (i·g), unfused, as on the scalar backend.
+      StoreLanes(cn + j,
+                 _mm256_add_pd(_mm256_mul_pd(f, LoadLanes(cp + j, lanes)),
+                               _mm256_mul_pd(i, g)),
+                 lanes);
+    }
+  }
+}
+
+void Avx2LstmHidden(int rows, int hidden, const double* acts, const double* c,
+                    double* tanh_c, double* h_out) {
+  const size_t h = static_cast<size_t>(hidden);
+  for (int r = 0; r < rows; ++r) {
+    const double* o = acts + r * 4 * h + 3 * h;
+    const size_t base = r * h;
+    for (size_t j = 0; j < h; j += 4) {
+      const int lanes = h - j < 4 ? static_cast<int>(h - j) : 4;
+      const __m256d t = TanhPoly(LoadLanes(c + base + j, lanes));
+      StoreLanes(tanh_c + base + j, t, lanes);
+      StoreLanes(h_out + base + j,
+                 _mm256_mul_pd(LoadLanes(o + j, lanes), t), lanes);
+    }
+  }
+}
+
 }  // namespace
 
 const KernelTable kAvx2Table = {
@@ -538,6 +698,8 @@ const KernelTable kAvx2Table = {
     /*act_backward=*/Avx2ActBackward,
     /*rowwise_max=*/Avx2RowwiseMax,
     /*adam_step=*/Avx2AdamStep,
+    /*lstm_cell=*/Avx2LstmCell,
+    /*lstm_hidden=*/Avx2LstmHidden,
 };
 
 }  // namespace head::nn::kernels::internal

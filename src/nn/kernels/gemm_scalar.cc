@@ -165,6 +165,45 @@ void ScalarAdamStep(int n, double lr, double beta1, double beta2, double eps,
   }
 }
 
+// The fused LSTM cell with the exact expressions of the unfused ops it
+// replaces (nn::Sigmoid, nn::Tanh, nn::Mul, nn::Add), so fast_math-off
+// replay stays bitwise.
+double SigmoidLibm(double x) { return 1.0 / (1.0 + std::exp(-x)); }
+
+void ScalarLstmCell(int rows, int hidden, const double* gates,
+                    const double* c_prev, double* acts, double* c) {
+  const size_t h = static_cast<size_t>(hidden);
+  for (int r = 0; r < rows; ++r) {
+    const double* pre = gates + r * 4 * h;
+    double* act = acts + r * 4 * h;
+    const double* cp = c_prev + r * h;
+    double* cn = c + r * h;
+    for (size_t j = 0; j < h; ++j) {
+      const double i = SigmoidLibm(pre[j]);
+      const double f = SigmoidLibm(pre[h + j]);
+      const double g = std::tanh(pre[2 * h + j]);
+      act[j] = i;
+      act[h + j] = f;
+      act[2 * h + j] = g;
+      act[3 * h + j] = SigmoidLibm(pre[3 * h + j]);
+      cn[j] = f * cp[j] + i * g;
+    }
+  }
+}
+
+void ScalarLstmHidden(int rows, int hidden, const double* acts,
+                      const double* c, double* tanh_c, double* h_out) {
+  const size_t h = static_cast<size_t>(hidden);
+  for (int r = 0; r < rows; ++r) {
+    const double* o = acts + r * 4 * h + 3 * h;
+    for (size_t j = r * h; j < (r + 1) * h; ++j) {
+      const double t = std::tanh(c[j]);
+      tanh_c[j] = t;
+      h_out[j] = o[j - r * h] * t;
+    }
+  }
+}
+
 }  // namespace
 
 const KernelTable kScalarTable = {
@@ -180,6 +219,8 @@ const KernelTable kScalarTable = {
     /*act_backward=*/ScalarActBackward,
     /*rowwise_max=*/ScalarRowwiseMax,
     /*adam_step=*/ScalarAdamStep,
+    /*lstm_cell=*/ScalarLstmCell,
+    /*lstm_hidden=*/ScalarLstmHidden,
 };
 
 }  // namespace head::nn::kernels::internal

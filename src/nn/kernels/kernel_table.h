@@ -68,6 +68,21 @@ struct KernelTable {
   void (*adam_step)(int n, double lr, double beta1, double beta2, double eps,
                     double bc1, double bc2, const double* g, double* m,
                     double* v, double* value);
+
+  // ---- Fused LSTM cell (fast_math-gated on SIMD backends) ----
+  //
+  // Row-range kernels like the GEMM family; every element depends only on
+  // its own row and column, so chunking never changes a bit. The scalar
+  // backend runs libm tanh / 1/(1+exp(−x)); the AVX2 backend a polynomial
+  // exp, lane-wise, with masked tails.
+
+  /// acts = [σ(i) σ(f) tanh(g) σ(o)] of the (rows × 4h) pre-activations
+  /// `gates`, and c = σ(f)·c_prev + σ(i)·tanh(g) (rows × h).
+  void (*lstm_cell)(int rows, int hidden, const double* gates,
+                    const double* c_prev, double* acts, double* c);
+  /// tanh_c = tanh(c) and h = σ(o)·tanh_c, σ(o) read from the acts block.
+  void (*lstm_hidden)(int rows, int hidden, const double* acts,
+                      const double* c, double* tanh_c, double* h);
 };
 
 /// Portable backend; always available.

@@ -37,10 +37,12 @@ constexpr int64_t kParallelFlops = int64_t{1} << 18;
 /// Output rows from which GemmNN packs B; below it the backend's in-place
 /// kernel reads row-major B directly. Both paths run the identical
 /// per-element fma fold, so the cutover is purely a performance choice —
-/// never a numerics one. (The register-blocked in-place kernel measures as
-/// fast as packing up to m ≈ 42–64; the SIMD tests' packed-path shapes
-/// assume this value, so a retune must move them with it.)
-constexpr int kPackMinRows = 8;
+/// never a numerics one. The register-blocked in-place kernel measures as
+/// fast as packing up to m ≈ 42–64, and packing costs a pass over B per
+/// call, so every B ≤ 10 LST-GAT step (m = 6·B) stays in place. The SIMD
+/// tests' packed-path shapes assume this value, so a retune must move them
+/// with it.
+constexpr int kPackMinRows = 64;
 
 template <typename Kernel>
 void ForEachRowChunk(int64_t rows, int64_t flops, const Kernel& kernel) {
@@ -83,8 +85,8 @@ std::atomic<bool>& FastMathRef() {
   return on;
 }
 
-/// Backend for GEMM-family ops: scalar whenever fast_math is off (bitwise
-/// contract), otherwise whatever ISA is active.
+/// Backend for GEMM-family ops and the fused LSTM cell: scalar whenever
+/// fast_math is off (bitwise contract), otherwise whatever ISA is active.
 const KernelTable* GemmTable() {
   if (!FastMathRef().load(std::memory_order_relaxed)) {
     return &internal::kScalarTable;
@@ -303,6 +305,40 @@ void AdamStep(int n, double lr, double beta1, double beta2, double eps,
   HEAD_PROF_OP("kernel.adam", n, 0, 0, int64_t{10} * n, int64_t{56} * n);
   ElementwiseTable()->adam_step(n, lr, beta1, beta2, eps, bc1, bc2, g, m, v,
                                 value);
+}
+
+// A transcendental costs about as much as 16 GEMM multiply-adds, which is
+// what ForEachRowChunk's break-even is counted in.
+constexpr int64_t kTranscendentalFlops = 16;
+
+void LstmCell(int rows, int hidden, const double* gates, const double* c_prev,
+              double* acts, double* c) {
+  const int64_t n = int64_t{rows} * hidden;
+  HEAD_PROF_OP("kernel.lstm_cell", rows, hidden, 0, int64_t{7} * n,
+               int64_t{80} * n);
+  const KernelTable* t = GemmTable();
+  const size_t gate_row = static_cast<size_t>(4) * hidden;
+  ForEachRowChunk(rows, 4 * kTranscendentalFlops * n,
+                  [=](int64_t r0, int64_t r1) {
+                    t->lstm_cell(static_cast<int>(r1 - r0), hidden,
+                                 gates + r0 * gate_row,
+                                 c_prev + r0 * hidden, acts + r0 * gate_row,
+                                 c + r0 * hidden);
+                  });
+}
+
+void LstmHidden(int rows, int hidden, const double* acts, const double* c,
+                double* tanh_c, double* h) {
+  const int64_t n = int64_t{rows} * hidden;
+  HEAD_PROF_OP("kernel.lstm_hidden", rows, hidden, 0, n, int64_t{32} * n);
+  const KernelTable* t = GemmTable();
+  const size_t gate_row = static_cast<size_t>(4) * hidden;
+  ForEachRowChunk(rows, kTranscendentalFlops * n,
+                  [=](int64_t r0, int64_t r1) {
+                    t->lstm_hidden(static_cast<int>(r1 - r0), hidden,
+                                   acts + r0 * gate_row, c + r0 * hidden,
+                                   tanh_c + r0 * hidden, h + r0 * hidden);
+                  });
 }
 
 double MeasurePeakGemmGflops() {

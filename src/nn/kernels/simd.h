@@ -25,7 +25,8 @@
 //     correctly-rounded lane ops (no FMA, no reassociation): bitwise equal
 //     to scalar on every backend, so they are always routed.
 //   * GEMM-family kernels reassociate (FMA contraction, multi-accumulator
-//     dots): routed to the SIMD backend only while fast_math is enabled.
+//     dots), and the fused LSTM cell swaps libm for a polynomial exp:
+//     routed to the SIMD backend only while fast_math is enabled.
 //     With fast_math off (SetFastMath(false) or HEAD_FAST_MATH=0) every
 //     GEMM runs the scalar schedule regardless of the active ISA, which is
 //     what the bitwise replay/parity suites pin.
@@ -137,6 +138,22 @@ void RowwiseMax(int rows, int cols, const double* a, double* out, int* argmax);
 void AdamStep(int n, double lr, double beta1, double beta2, double eps,
               double bc1, double bc2, const double* g, double* m, double* v,
               double* value);
+
+/// The fused LSTM cell over rows of (rows × 4h) gate pre-activations in
+/// [i f g o] order: acts = [σ(i) σ(f) tanh(g) σ(o)] and
+/// c = σ(f)·c_prev + σ(i)·tanh(g). fast_math-gated: with fast_math off, or
+/// on the scalar backend, it runs libm tanh and 1/(1+exp(−x)) with the
+/// (f·c_prev) + (i·g) association — bitwise the unfused composition. AVX2
+/// with fast_math on evaluates a polynomial exp (max abs error ≤ 1e-14
+/// against libm), lane-wise, so a row's bits never depend on B, on its
+/// position, or on the thread count.
+void LstmCell(int rows, int hidden, const double* gates, const double* c_prev,
+              double* acts, double* c);
+
+/// tanh_c = tanh(c) and h = σ(o)·tanh_c, with σ(o) the last block of
+/// LstmCell's acts. Same routing and contract as LstmCell.
+void LstmHidden(int rows, int hidden, const double* acts, const double* c,
+                double* tanh_c, double* h);
 
 // ---- Profiler roofline calibration ----
 

@@ -30,14 +30,9 @@ LstmState LstmCell::Forward(const Var& x, const LstmState& state) const {
   // recurrent product accumulates into the input product's output, saving
   // an Add node and a (batch × 4h) temporary per step.
   const Var gates = DualAffine(x, w_ih_, state.h, w_hh_, b_);
-  const int h = hidden_size_;
-  const Var i = Sigmoid(SliceCols(gates, 0, h));
-  const Var f = Sigmoid(SliceCols(gates, h, 2 * h));
-  const Var g = Tanh(SliceCols(gates, 2 * h, 3 * h));
-  const Var o = Sigmoid(SliceCols(gates, 3 * h, 4 * h));
-  const Var c_new = Add(Mul(f, state.c), Mul(i, g));
-  const Var h_new = Mul(o, Tanh(c_new));
-  return LstmState{h_new, c_new};
+  // The gate activations, c and h in two fused nodes (see LstmCellStep).
+  const LstmCellVars next = LstmCellStep(gates, state.c);
+  return LstmState{next.h, next.c};
 }
 
 }  // namespace head::nn

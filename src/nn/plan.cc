@@ -96,6 +96,12 @@ struct ReplayContext {
       VarImpl& node = nodes.emplace_back();
       node.value = Tensor::Uninitialized(master.value.rows(),
                                          master.value.cols());
+      // Saved activations get geometry too: their forward fills them in
+      // place, so the first replay draws nothing extra from the pool.
+      if (!master.saved.empty()) {
+        node.saved = Tensor::Uninitialized(master.saved.rows(),
+                                           master.saved.cols());
+      }
       node.requires_grad = master.requires_grad;
       node.backward = master.backward;
       node.forward = master.forward;

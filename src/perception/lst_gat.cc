@@ -58,36 +58,38 @@ std::vector<nn::Var> LstGat::Params() const {
   return params;
 }
 
-nn::Var LstGat::Attention(const nn::Var& h_embed, int groups) const {
+nn::Var LstGat::FoldedAttention() const {
+  if (!config_.use_attention) return nn::Var();  // uniform weights: no W
+  const int d = config_.d_phi1;
+  return nn::MatMulTransposeB(phi1_, nn::Reshape(phi2_, 2, d));  // (4×2)
+}
+
+nn::Var LstGat::Attention(const nn::Var& m, const nn::Var& w,
+                          int groups) const {
   if (!config_.use_attention) {
     return nn::Var::Constant(
         nn::Tensor::Full(groups, kNodesPerTarget, 1.0 / kNodesPerTarget));
   }
-  // Pair every node with its group's target (node 0) — Eq. (10) for all
-  // groups at once, without slicing per target.
-  std::vector<int> tgt_idx(groups * kNodesPerTarget);
-  for (int g = 0; g < groups; ++g) {
-    for (int n = 0; n < kNodesPerTarget; ++n) {
-      tgt_idx[g * kNodesPerTarget + n] = g * kNodesPerTarget;
-    }
-  }
-  const nn::Var tgt = nn::GatherRows(h_embed, std::move(tgt_idx));
-  const nn::Var concat = nn::ConcatCols({tgt, h_embed});
-  const nn::Var scores =
-      nn::LeakyRelu(nn::MatMul(concat, phi2_), config_.leaky_slope);
-  return nn::SoftmaxRows(nn::Reshape(scores, groups, kNodesPerTarget));
+  // Every group's target (node 0) against each of its nodes — Eq. (10) for
+  // all groups at once, without slicing per target.
+  const nn::Var scores = nn::LeakyRelu(
+      nn::GroupPairSum(nn::MatMul(m, w), kNodesPerTarget),
+      config_.leaky_slope);
+  return nn::SoftmaxRows(scores);
 }
 
-nn::Var LstGat::GatStepStacked(const nn::Var& m, int groups) const {
+nn::Var LstGat::GatStepStacked(const nn::Var& m, const nn::Var& w,
+                               int groups) const {
   HEAD_CHECK_EQ(m.value().rows(), groups * kNodesPerTarget);
-  const nn::Var h_embed = nn::MatMul(m, phi1_);  // (G·7×Dφ1)
-  const nn::Var values = nn::MatMul(m, phi3_);   // (G·7×Dφ3)
-  const nn::Var alpha_col =                      // (G·7×1)
-      nn::Reshape(Attention(h_embed, groups), groups * kNodesPerTarget, 1);
-  // Weighted aggregation (Eq. 11) as scale-rows + within-group row sums:
-  // a fixed multiply-then-accumulate order per row, so a sample's rows are
-  // bitwise the same at any batch size B.
-  return nn::SumRowGroups(nn::ScaleRows(values, alpha_col), kNodesPerTarget);
+  const nn::Var alpha_col =  // (G·7×1)
+      nn::Reshape(Attention(m, w, groups), groups * kNodesPerTarget, 1);
+  // Weighted aggregation (Eq. 11) as scale-rows + within-group row sums on
+  // the 4-wide features, then one (G×4)·(4×Dφ3) product: a fixed
+  // multiply-then-accumulate order per row, so a sample's rows are bitwise
+  // the same at any batch size B.
+  const nn::Var mixed =
+      nn::SumRowGroups(nn::ScaleRows(m, alpha_col), kNodesPerTarget);
+  return nn::MatMul(mixed, phi3_);
 }
 
 nn::Var LstGat::ForwardScaledBatch(
@@ -101,9 +103,10 @@ nn::Var LstGat::ForwardScaledBatch(
   }
   const int batch = static_cast<int>(graphs.size());
   nn::LstmState state = lstm_.InitialState(batch * kNumAreas);
+  const nn::Var w = FoldedAttention();
   for (int k = 0; k < z; ++k) {
     const nn::Var h_updated = GatStepStacked(
-        nn::PlanInput(StackStepBatch(graphs, k)), batch * kNumAreas);
+        nn::PlanInput(StackStepBatch(graphs, k)), w, batch * kNumAreas);
     state = lstm_.Forward(h_updated, state);  // Eq. (12), batched over B·6
   }
   return head_.Forward(state.h);  // (B·6×3), Eq. (13)
@@ -129,8 +132,8 @@ std::vector<double> LstGat::AttentionWeights(const StGraph& graph,
   // callers may hold live Vars; these nodes recycle at the next region entry.
   const nn::NoGradGuard no_grad;
   const nn::Var m = nn::Var::Constant(StackStepBatch({&graph}, graph.z() - 1));
-  const nn::Tensor alpha =
-      Attention(nn::MatMul(m, phi1_), kNumAreas).value();  // (6×7)
+  const nn::Var w = FoldedAttention();
+  const nn::Tensor alpha = Attention(m, w, kNumAreas).value();  // (6×7)
   std::vector<double> row(kNodesPerTarget);
   for (int n = 0; n < kNodesPerTarget; ++n) row[n] = alpha.At(i, n);
   return row;

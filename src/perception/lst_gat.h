@@ -36,8 +36,8 @@ class LstGat : public StatePredictor {
   nn::Var ForwardScaled(const StGraph& graph) const override;
 
   /// Minibatch pass: stacks every sample's 42 step-k nodes into one
-  /// (B·42×4) matrix, runs the GAT as block-diagonal gather/softmax/
-  /// scatter ops (no per-target slicing loop), and drives the LSTM with a
+  /// (B·42×4) matrix, runs the GAT as block-diagonal score/softmax/
+  /// aggregate ops (no per-target slicing loop), and drives the LSTM with a
   /// batch of B·6 target rows. Falls back to the stacked per-sample default
   /// when the graphs disagree on history depth z.
   nn::Var ForwardScaledBatch(
@@ -61,15 +61,23 @@ class LstGat : public StatePredictor {
   std::vector<double> AttentionWeights(const StGraph& graph, int i) const;
 
  private:
-  /// Eq. (10) for `groups` stacked 7-node groups: `h_embed` is the
-  /// (groups·7 × D_φ1) node embedding φ1·h; returns the (groups × 7)
-  /// attention weights over [self, surroundings 1..6], or the uniform 1/7
-  /// when config_.use_attention is off.
-  nn::Var Attention(const nn::Var& h_embed, int groups) const;
+  /// Eq. (10) folded: φ2ᵀ[φ1ᵀm_t ‖ φ1ᵀm_n] = m_t·(φ1φ2[:D]) + m_n·(φ1φ2[D:]),
+  /// so the (4 × 2) W = [φ1φ2[:D]  φ1φ2[D:]] scores every pair. Built from
+  /// the params once per forward, so gradients still reach φ1 and φ2.
+  /// Undefined when config_.use_attention is off.
+  nn::Var FoldedAttention() const;
+
+  /// Eq. (10) for `groups` stacked 7-node groups of `m` (groups·7 × 4),
+  /// with `w` = FoldedAttention(): node n of group g scores
+  /// LeakyReLU(S[g·7, 0] + S[g·7+n, 1]) for S = m·W. Returns the
+  /// (groups × 7) weights over [self, surroundings 1..6], or the uniform
+  /// 1/7 when config_.use_attention is off (`w` unused).
+  nn::Var Attention(const nn::Var& m, const nn::Var& w, int groups) const;
 
   /// Per-step GAT over `groups` stacked 7-node groups at once: `m` is
-  /// (groups·7 × 4); returns the (groups × d_phi3) updated states (Eq. 11).
-  nn::Var GatStepStacked(const nn::Var& m, int groups) const;
+  /// (groups·7 × 4); returns the (groups × d_phi3) updated states of
+  /// Eq. (11), aggregated before φ3: Σₙ αₙ(φ3ᵀmₙ) = φ3ᵀ(Σₙ αₙmₙ).
+  nn::Var GatStepStacked(const nn::Var& m, const nn::Var& w, int groups) const;
 
   LstGatConfig config_;
   nn::Var phi1_;  // (4 × D_φ1)

@@ -288,7 +288,6 @@ RlTrainResult TrainAgent(PamdpAgent& agent, parallel::EnvPool& envs,
         AgentAction action;
         action.behavior = t.behavior;
         action.params = std::move(t.params);
-        action.maneuver.lane_change = BehaviorToLaneChange(t.behavior);
         agent.Remember(t.state, action, t.reward, t.next_state, t.terminal);
         agent.Update(learner_rng);
       }

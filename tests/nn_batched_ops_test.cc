@@ -1,6 +1,7 @@
 // Forward and finite-difference backward checks for the batched autograd
 // ops behind the vectorized training paths (GatherRows, SelectColumnPerRow,
-// RowwiseMax, SumRows, ScaleRows, SumRowGroups), plus the grad-mode switch
+// RowwiseMax, SumRows, ScaleRows, SumRowGroups, GroupPairSum,
+// MatMulTransposeB), plus the grad-mode switch
 // (NoGradGuard) that turns forward passes into pure inference.
 #include <cmath>
 #include <functional>
@@ -146,6 +147,35 @@ TEST(BatchedOpsTest, SumRowGroupsForwardAndGradient) {
               a.value().At(3, 1) + a.value().At(4, 1) + a.value().At(5, 1),
               1e-12);
   CheckGradient(a, [&] { return WeightedSum(SumRowGroups(a, 3)); });
+}
+
+TEST(BatchedOpsTest, GroupPairSumForwardAndGradient) {
+  const Var s = Var::Constant(Arange(6, 2));
+  const Var out = GroupPairSum(s, 3);  // two groups of three rows
+  ASSERT_EQ(out.value().rows(), 2);
+  ASSERT_EQ(out.value().cols(), 3);
+  for (int g = 0; g < 2; ++g) {
+    for (int j = 0; j < 3; ++j) {
+      EXPECT_DOUBLE_EQ(out.value().At(g, j),
+                       s.value().At(3 * g, 0) + s.value().At(3 * g + j, 1));
+    }
+  }
+  Var p = Var::Param(Arange(6, 2));
+  CheckGradient(p, [&] { return WeightedSum(GroupPairSum(p, 3)); });
+}
+
+TEST(BatchedOpsTest, MatMulTransposeBForwardAndGradient) {
+  Var a = Var::Param(Arange(3, 4));
+  Var b = Var::Param(Arange(2, 4, 0.13, -0.5));  // stored (n×k)
+  const Tensor want = MatMul(a.value(), Transpose(b.value()));
+  const Var out = MatMulTransposeB(a, b);
+  ASSERT_EQ(out.value().rows(), 3);
+  ASSERT_EQ(out.value().cols(), 2);
+  for (int i = 0; i < want.size(); ++i) {
+    EXPECT_NEAR(out.value()[i], want[i], 1e-12);
+  }
+  CheckGradient(a, [&] { return WeightedSum(MatMulTransposeB(a, b)); });
+  CheckGradient(b, [&] { return WeightedSum(MatMulTransposeB(a, b)); });
 }
 
 TEST(BatchedOpsTest, AffineMatchesMatMulPlusBias) {

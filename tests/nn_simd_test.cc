@@ -88,13 +88,15 @@ struct GemmShape {
   int m, n, k;
 };
 
-// Remainder coverage: every combination of full/partial 4-row blocks and
-// 8-column panels, degenerate m=1 / n=1 / k=1 vectors, and sizes straddling
-// the packed-path threshold (m >= 8).
+// Remainder coverage on both GemmNN paths: every combination of full and
+// partial 4-row blocks (m mod 4 = 0..3) and 8-column panels, degenerate
+// m=1 / n=1 / k=1 vectors, and sizes straddling the packed-path threshold
+// (m >= 64). The first two rows run B in place, the last two pack it.
 const GemmShape kShapes[] = {
-    {1, 1, 1},  {1, 8, 4},   {1, 5, 7},    {3, 5, 7},    {4, 8, 16},
-    {5, 9, 17}, {7, 1, 13},  {8, 8, 8},    {9, 16, 4},   {13, 29, 31},
-    {16, 3, 2}, {64, 64, 64}, {33, 7, 1},  {2, 24, 40},  {12, 12, 12},
+    {1, 1, 1},   {1, 8, 4},   {1, 5, 7},    {3, 5, 7},    {4, 8, 16},
+    {5, 9, 17},  {7, 1, 13},  {2, 24, 40},  {12, 12, 12}, {63, 9, 17},
+    {64, 8, 8},  {65, 16, 4}, {69, 29, 31}, {72, 3, 2},   {64, 64, 64},
+    {97, 7, 1},  {76, 12, 12}, {66, 9, 5},  {67, 21, 3},
 };
 
 TEST_F(SimdTest, GemmShapeGridScalarVsAvx2) {
@@ -332,7 +334,7 @@ TEST_F(SimdTest, DualAffineMatchesUnfusedComposition) {
 }
 
 TEST_F(SimdTest, PackedPathIsRowPrefixInvariant) {
-  // The packed microkernel path (m >= 8) must produce, row for row, exactly
+  // The packed microkernel path (m >= 64) must produce, row for row, exactly
   // what the small-m path produces: every output element is the same
   // fold of fma over k regardless of blocking. This is the property that
   // makes batched-vs-per-sample training bitwise reproducible under AVX2.
@@ -340,7 +342,7 @@ TEST_F(SimdTest, PackedPathIsRowPrefixInvariant) {
   if (!UseAvx2()) GTEST_SKIP() << "no AVX2+FMA on this machine";
   kernels::SetFastMath(true);
   Rng rng(31);
-  const int k = 37, big_m = 40, small_m = 3;
+  const int k = 37, big_m = 80, small_m = 3;
   for (const int n : {21, 256}) {
     const nn::Tensor a = nn::Tensor::Uniform(big_m, k, -1.0, 1.0, rng);
     const nn::Tensor b = nn::Tensor::Uniform(k, n, -1.0, 1.0, rng);
@@ -385,7 +387,7 @@ std::vector<double> FmaFoldOracle(int m, int n, int k, const AAt& a_at,
 }
 
 TEST_F(SimdTest, EveryAvx2GemmRouteMatchesFmaFoldOracle) {
-  // Every n > 1 AVX2 GEMM route — the in-place small-m kernel (m < 8), the
+  // Every n > 1 AVX2 GEMM route — the in-place small-m kernel (m < 64), the
   // packed microkernel with runtime k and with compile-time k (k <= 8),
   // full and partial 4-row strips and 8-column panels, TN's strided A and
   // NT's transpose-packed B — must equal the plain fma fold bitwise. The
@@ -402,7 +404,7 @@ TEST_F(SimdTest, EveryAvx2GemmRouteMatchesFmaFoldOracle) {
     for (double& x : v) x = rng.Uniform(-1.0, 1.0);
     return v;
   };
-  for (const int m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 64}) {
+  for (const int m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 64, 66, 67}) {
     for (const auto& [n, k] : kNk) {
       const size_t mn = static_cast<size_t>(m) * n;
       // NN: A (m×k), B (k×n), all three init modes.

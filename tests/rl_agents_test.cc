@@ -1,14 +1,20 @@
 // RL machinery: replay buffer, augmented-state building, and behavioral
 // smoke/learning tests for every agent (BP-DQN, P-DQN, P-QP, P-DDPG, DRL-SC).
+#include <cmath>
+#include <memory>
 #include <set>
 #include <utility>
 
 #include <gtest/gtest.h>
 
+#include "parallel/env_pool.h"
+#include "parallel/thread_pool.h"
 #include "rl/drl_sc.h"
+#include "rl/env.h"
 #include "rl/p_ddpg.h"
 #include "rl/pdqn_agent.h"
 #include "rl/replay_buffer.h"
+#include "rl/trainer.h"
 
 namespace head::rl {
 namespace {
@@ -247,6 +253,64 @@ TEST(DrlScTest, ActNeverPicksUnsafeAction) {
                           a.maneuver.accel_mps2 == -config.road.a_max_mps2;
     EXPECT_TRUE(agent.IsSafe(s, a.maneuver) || is_brake);
   }
+}
+
+// ---- Pooled training (TrainAgent over an EnvPool, K = 2) ----
+//
+// One collection round of two episodes, then the learning phase replays
+// every transition through Remember/Update. Each agent's own action
+// encoding must survive that replay — DRL-SC's behavior is a flat
+// (lane change × acceleration level) index, not a lane change.
+
+void TrainOnePooledRound(PamdpAgent& agent) {
+  EnvConfig env;
+  env.sim.road.length_m = 400.0;
+  env.sim.spawn.back_margin_m = 120.0;
+  env.sim.spawn.front_margin_m = 120.0;
+  env.use_prediction = false;
+  parallel::ThreadPool pool(2);
+  parallel::EnvPool envs(
+      2, [&](int) { return std::make_unique<DrivingEnv>(env, nullptr, 1); },
+      &pool);
+  RlTrainConfig config;
+  config.episodes = 2;
+  config.max_steps_per_episode = 30;
+  config.seed = 3;
+  const RlTrainResult result = TrainAgent(agent, envs, config);
+  ASSERT_EQ(result.episode_rewards.size(), 2u);
+  for (const double r : result.episode_rewards) EXPECT_TRUE(std::isfinite(r));
+}
+
+TEST(PooledTrainingTest, BpDqn) {
+  Rng init(8);
+  TrainOnePooledRound(*MakeBpDqnAgent(SmallConfig(), init));
+}
+
+TEST(PooledTrainingTest, PDqn) {
+  Rng init(8);
+  TrainOnePooledRound(*MakePDqnAgent(SmallConfig(), init));
+}
+
+TEST(PooledTrainingTest, PQp) {
+  Rng init(8);
+  TrainOnePooledRound(*MakePQpAgent(SmallConfig(), init));
+}
+
+TEST(PooledTrainingTest, PDdpg) {
+  PddpgConfig config;
+  config.hidden = 16;
+  config.batch_size = 8;
+  config.warmup_transitions = 8;
+  config.buffer_capacity = 128;
+  Rng init(8);
+  PddpgAgent agent(config, init);
+  TrainOnePooledRound(agent);
+}
+
+TEST(PooledTrainingTest, DrlSc) {
+  Rng init(8);
+  DrlScAgent agent(SmallDrlScConfig(), init);
+  TrainOnePooledRound(agent);
 }
 
 }  // namespace

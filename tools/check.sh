@@ -4,6 +4,8 @@
 #      ThreadSanitizer AND AddressSanitizer (+UBSan) — the obs + sim tests,
 #      the road-index and sensor tests (index arithmetic, blocker prefilter),
 #      the batched-ops test that exercises the thread-local grad-mode switch,
+#      the fused LSTM cell and folded LST-GAT tests (the cell kernel's masked
+#      tail loads and row-chunked dispatch, the new backward nodes),
 #      the arena/tensor-pool test (cold-vs-warm tape parity, pooled-buffer
 #      recycling — the ASan pass is what proves recycled buffers are never
 #      used after free), and the parallel-layer tests, all pinned to
@@ -66,6 +68,7 @@ SAN_TESTS=(obs_test obs_trace_test obs_recorder_test obs_timeseries_test
            obs_profiler_test flight_replay_test sim_simulation_test
            sim_models_test sim_road_test sensor_test occlusion_property_test
            nn_batched_ops_test nn_arena_test nn_simd_test nn_plan_test
+           nn_lstm_test perception_graph_test perception_oracle_test
            parallel_test parallel_determinism_test serve_test)
 
 for SANITIZER in "${SANITIZERS[@]}"; do
