@@ -135,7 +135,8 @@ void PublishAllocMetrics();
 
 /// Steady-state allocation probe: arena chunk growth plus tensor-pool misses
 /// on the calling thread. The delta across a warmed-up training step is zero
-/// when the step ran entirely out of recycled memory (the check.sh gate).
+/// when the step ran entirely out of recycled memory (the PlanAllocTest and
+/// serve_test zero-allocation tests).
 uint64_t AllocEvents();
 
 }  // namespace head::nn

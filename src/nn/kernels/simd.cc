@@ -157,19 +157,6 @@ const char* IsaName(Isa isa) {
   return isa == Isa::kAvx2 ? "avx2" : "scalar";
 }
 
-const char* CpuCapabilityString() {
-#if defined(__x86_64__) || defined(__i386__)
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return "avx2+fma";
-  }
-  if (__builtin_cpu_supports("avx2")) return "avx2";
-  if (__builtin_cpu_supports("avx")) return "avx";
-  return "sse2";
-#else
-  return "non-x86";
-#endif
-}
-
 bool FastMathEnabled() {
   return FastMathRef().load(std::memory_order_relaxed);
 }

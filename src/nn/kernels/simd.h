@@ -45,7 +45,7 @@ enum class Isa : int { kScalar = 0, kAvx2 = 1 };
 enum class GemmKind : int { kNN = 0, kTN, kNT };
 
 /// Multiply-add flop count (2·m·n·k) of one C(m×n) = A·B GEMM. The single
-/// formula shared by the op profiler and bench/training_throughput — every
+/// formula shared by the op profiler and bench/perf_gates — every
 /// transposition variant runs the same arithmetic.
 int64_t FlopsFor(GemmKind kind, int m, int n, int k);
 
@@ -81,16 +81,11 @@ Isa DetectIsa();
 /// Currently active backend (atomic; DetectIsa() until overridden).
 Isa ActiveIsa();
 
-/// Runtime override for tests and the bench --kernel axis. Requesting
-/// kAvx2 on a machine without AVX2+FMA keeps the scalar backend and
-/// returns false.
+/// Runtime override for tests. Requesting kAvx2 on a machine without
+/// AVX2+FMA keeps the scalar backend and returns false.
 bool SetActiveIsa(Isa isa);
 
 const char* IsaName(Isa isa);
-
-/// Short capability stamp for committed baselines, e.g. "avx2+fma" or
-/// "sse2" — what the *hardware* reports, independent of the active backend.
-const char* CpuCapabilityString();
 
 // ---- fast_math gate (GEMM-family reassociation) ----
 

@@ -7,13 +7,13 @@
 //   { HEAD_SCOPE("sim.step", hist); ... } // row + trace event + histogram
 //   obs::StopProfiling();
 //   std::cout << obs::ProfileToText(obs::CollectProfile(), /*top_n=*/10);
-//   obs::WriteProfileJsonFile("prof.json");   // tools/profile_diff.py input
+//   obs::WriteProfileJsonFile("prof.json");   // "head-profile-v1" JSON
 //   obs::WriteChromeTraceFile("trace.json");  // chrome://tracing / Perfetto
 //
 // Gates: profiling and tracing are two bits of one relaxed atomic. A region
 // scope with both off costs one relaxed load and a branch (a few ns — cheap
 // enough for permanent residence in every hot path; tools/check.sh fails
-// when bench/training_throughput's scope_disabled_ns exceeds 5 ns).
+// when bench/perf_gates' scope_disabled_ns exceeds 5 ns).
 // Enabled, a scope takes two clock reads; the profiler output adds ~a dozen
 // relaxed atomic adds into a per-thread open-addressed stats table (no
 // lock, no heap), the trace output one mutex-guarded append. Three scope
@@ -248,7 +248,7 @@ ProfileReport CollectProfile();
 
 /// Human-readable table; top_n = 0 prints every row.
 std::string ProfileToText(const ProfileReport& report, size_t top_n = 0);
-/// Schema "head-profile-v1" — the tools/profile_diff.py input format.
+/// Schema "head-profile-v1": per-(op, shape, phase) rows plus coverage.
 std::string ProfileToJson(const ProfileReport& report);
 /// CollectProfile() → ProfileToJson → `path`; false on I/O error.
 bool WriteProfileJsonFile(const std::string& path);

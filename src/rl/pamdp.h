@@ -58,9 +58,19 @@ nn::Tensor FlattenState(const AugmentedState& s);
 nn::Tensor FlattenStates(const std::vector<const AugmentedState*>& batch);
 
 /// The action an agent chose, with the internals needed for replay.
+///
+/// `behavior` is the chosen discrete action index, whose layout is
+/// agent-specific:
+///   * P-DQN family (BP-DQN, P-DQN, P-DDPG, P-QP): a behavior in
+///     [0, kNumBehaviors), the {ll, lr, lk} head of the network output;
+///   * DRL-SC: the flat index behavior × DrlScAgent::kAccelLevels +
+///     acceleration level, in [0, DrlScAgent::kNumActions) (rl/drl_sc.h).
+/// Only the agent that produced it interprets it; everything else (replay,
+/// EnvPool transitions) copies it through. `maneuver` always holds the
+/// decoded lane change and acceleration.
 struct AgentAction {
   Maneuver maneuver;
-  int behavior = kBehaviorKeep;  ///< chosen discrete index
+  int behavior = kBehaviorKeep;  ///< discrete action index (layout above)
   /// Full action-parameter vector the agent emitted (layout agent-specific;
   /// P-DQN-family: the 3 accelerations; DRL-SC: unused).
   nn::Tensor params;

@@ -13,7 +13,10 @@ namespace head::rl {
 
 struct Transition {
   AugmentedState state;
-  int behavior = 0;        ///< chosen discrete action
+  /// The discrete action index of AgentAction::behavior, in the producing
+  /// agent's layout: a behavior for the P-DQN family, the flat
+  /// behavior × DrlScAgent::kAccelLevels + level index for DRL-SC.
+  int behavior = 0;
   nn::Tensor params;       ///< full action-parameter vector as applied
   double reward = 0.0;
   AugmentedState next_state;

@@ -437,5 +437,33 @@ TEST(PlanAllocTest, SteadyStateAgentUpdateAllocatesNothing) {
       << "steady-state updates must be allocation-free (plans or warm arena)";
 }
 
+TEST(PlanAllocTest, SteadyStatePredictorStepAllocatesNothing) {
+  // AllocEvents counts the calling thread only: a 1-thread pool keeps every
+  // kernel of the step on it, whatever HEAD_THREADS says.
+  parallel::ThreadPool pool(1);
+  const parallel::GlobalPoolOverride pool_override(&pool);
+  for (const bool plans : {true, false}) {
+    const nn::ScopedPlansOff plans_off(/*active=*/!plans);
+    Rng init(7);
+    perception::LstGat model(perception::LstGatConfig{}, init);  // paper width
+    Rng data(17);
+    std::vector<perception::PredictionSample> train;
+    for (int i = 0; i < 32; ++i) train.push_back(RandomSample(data, 4));
+    perception::PredictorPlanCache cache;
+    perception::PredictionTrainConfig config;
+    config.epochs = 1;  // one 32-sample step per call
+    config.plan_cache = &cache;
+    // The first call compiles the plan (or fills the pool); the second runs
+    // the measured path once, so the pool holds every buffer it recycles.
+    perception::TrainPredictor(model, train, config);
+    perception::TrainPredictor(model, train, config);
+    const uint64_t before = nn::AllocEvents();
+    perception::TrainPredictor(model, train, config);
+    EXPECT_EQ(nn::AllocEvents(), before)
+        << "a warm LST-GAT step must be allocation-free, plans "
+        << (plans ? "on" : "off");
+  }
+}
+
 }  // namespace
 }  // namespace head

@@ -1,9 +1,10 @@
 // Serving-layer tests: RCU snapshot publication/retirement, batched
-// decision/prediction parity with the underlying nets, the admission-control
-// statuses (rejection, deadline, shutdown), and the hot-swap hammer — four
-// client threads submitting while a publisher swaps versions, with every
-// reply required to be bitwise consistent with exactly one published
-// version. The hammer is the core TSan/ASan target of tools/check.sh.
+// decision/prediction parity with the underlying nets, zero tape/pool
+// allocations in a warm batch, the admission-control statuses (rejection,
+// deadline, shutdown), and the hot-swap hammer — four client threads
+// submitting while a publisher swaps versions, with every reply required to
+// be bitwise consistent with exactly one published version. The hammer is
+// the core TSan/ASan target of tools/check.sh.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +14,9 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "nn/arena.h"
 #include "obs/metrics.h"
+#include "parallel/thread_pool.h"
 #include "perception/lst_gat.h"
 #include "rl/nets.h"
 #include "serve/service.h"
@@ -164,6 +167,59 @@ TEST(SnapshotTest, PredictBatchMatchesPredictorPredict) {
       EXPECT_DOUBLE_EQ(batched[i][a].v_rel_mps, expected[a].v_rel_mps);
     }
   }
+}
+
+TEST(SnapshotTest, WarmBatch32AllocatesNothing) {
+  // Paper-width nets on a 1-thread pool: AllocEvents counts the calling
+  // thread only, so every kernel of the batch must run on it.
+  parallel::ThreadPool pool(1);
+  const parallel::GlobalPoolOverride pool_override(&pool);
+  serve::ModelFactories factories;
+  factories.make_x = [](Rng& rng) {
+    return std::make_unique<rl::BpXNet>(64, kAMax, rng);
+  };
+  factories.make_q = [](Rng& rng) {
+    return std::make_unique<rl::BpQNet>(64, rng);
+  };
+  factories.make_predictor = [](Rng& rng) {
+    return std::make_unique<perception::LstGat>(perception::LstGatConfig{},
+                                                rng);
+  };
+  serve::ModelSnapshotRegistry registry(factories);
+  Rng rng(23);
+  const rl::BpXNet x(64, kAMax, rng);
+  const rl::BpQNet q(64, rng);
+  const perception::LstGat predictor(perception::LstGatConfig{}, rng);
+  const std::shared_ptr<const serve::ModelSnapshot> snap =
+      registry.Publish(x, q, &predictor);
+
+  constexpr int kBatch = 32;
+  std::vector<rl::AugmentedState> states;
+  std::vector<perception::StGraph> graphs;
+  for (int i = 0; i < kBatch; ++i) {
+    states.push_back(RandomState(rng));
+    graphs.push_back(RandomGraph(rng));
+  }
+  std::vector<const rl::AugmentedState*> state_ptrs;
+  for (const rl::AugmentedState& s : states) state_ptrs.push_back(&s);
+  std::vector<const perception::StGraph*> graph_ptrs;
+  for (const perception::StGraph& g : graphs) graph_ptrs.push_back(&g);
+  std::vector<serve::DecisionOutput> decisions(kBatch);
+  std::vector<perception::Prediction> predictions(kBatch);
+
+  // Two rounds capture both plans and instantiate their replay contexts;
+  // in the third the thread's tensor pool settles on the buffers that the
+  // two kinds of batch, interleaved, keep in rotation.
+  for (int warm = 0; warm < 3; ++warm) {
+    snap->DecideBatch(state_ptrs, decisions.data());
+    snap->PredictBatch(graph_ptrs, predictions.data());
+  }
+  const uint64_t before_decide = nn::AllocEvents();
+  snap->DecideBatch(state_ptrs, decisions.data());
+  EXPECT_EQ(nn::AllocEvents(), before_decide) << "DecideBatch at B=32";
+  const uint64_t before_predict = nn::AllocEvents();
+  snap->PredictBatch(graph_ptrs, predictions.data());
+  EXPECT_EQ(nn::AllocEvents(), before_predict) << "PredictBatch at B=32";
 }
 
 TEST(DecisionServiceTest, ServesDecisionAndPredictionRequests) {

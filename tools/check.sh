@@ -1,62 +1,52 @@
 #!/usr/bin/env bash
-# CI-style gates beyond plain ctest:
-#   1. Sanitizer stage: builds and runs the concurrency-sensitive tests under
-#      ThreadSanitizer AND AddressSanitizer (+UBSan) — the obs + sim tests,
+# CI-style gates beyond plain ctest, in five stages:
+#   1. Sanitizers: builds and runs the concurrency-sensitive tests under
+#      ThreadSanitizer and AddressSanitizer (+UBSan) — the obs + sim tests,
 #      the road-index and sensor tests (index arithmetic, blocker prefilter),
 #      the batched-ops test that exercises the thread-local grad-mode switch,
 #      the fused LSTM cell and folded LST-GAT tests (the cell kernel's masked
-#      tail loads and row-chunked dispatch, the new backward nodes),
-#      the arena/tensor-pool test (cold-vs-warm tape parity, pooled-buffer
+#      tail loads and row-chunked dispatch, the new backward nodes), the
+#      arena/tensor-pool test (cold-vs-warm tape parity, pooled-buffer
 #      recycling — the ASan pass is what proves recycled buffers are never
-#      used after free), and the parallel-layer tests, all pinned to
-#      HEAD_THREADS=4 so the pool actually races even on a 1-core CI box.
-#   2. Perf smoke stage: optimized build of bench/training_throughput (a few
-#      seconds at the fast profile), gated against the checked-in baseline —
-#      fails if batched training or pooled-rollout throughput regresses more
-#      than 30% — and against the zero-allocation invariant: a warmed-up
-#      training step must perform 0 arena/pool heap events
-#      (--require-zero-allocs), and a disabled HEAD_SCOPE must cost at most
-#      5 ns (scope_disabled_ns). Emits BENCH_training_throughput.json and an
-#      obs metrics snapshot (nn_alloc_* gauges) next to the build. Then the
-#      opt-level parity gate: the same bench built RelWithDebInfo (-O2, the
-#      tier-1 build) must reach >= 0.7x of every -O3 gemm_*_avx2_gflops.
-#   3. Scalar-fallback stage: configures a tree with -DHEAD_SIMD_DISABLE=ON
-#      (no AVX2 TU — the portable scalar kernel backend only, as on a
-#      non-x86 or pre-AVX2 host) and runs the *entire* ctest suite against
-#      it. Proves the SIMD dispatch layer degrades to the seed-exact scalar
-#      schedules without losing a single test.
-#   4. Flight-recorder smoke stage: drives head_cli end-to-end — records a
+#      used after free), the plan tests (zero allocations in a warm BP-DQN
+#      update and LST-GAT step), the serve tests (zero allocations in a warm
+#      batch of 32) and the parallel-layer tests, all pinned to
+#      HEAD_THREADS=4 so the pool actually races.
+#   2. Perf: bench/perf_gates, built at -O3 (Release) and -O2
+#      (RelWithDebInfo) and run five times each, alternating. Fails when a
+#      disabled HEAD_SCOPE costs more than 5 ns, when the op profiler
+#      attributes less than 95% of a profiled BP-DQN update and LST-GAT
+#      step to nested rows, or when the median over the run pairs of a GEMM
+#      shape's -O2/-O3 GFLOP/s ratio is below 0.7. Then tools/bench_ledger.py check runs
+#      perfbench's drive and train workloads once each at the ledger seed
+#      and fails when a run is incorrect, has a failed operation, or an
+#      end-to-end metric is worse than the worst run recorded in
+#      BENCH_drive.json / BENCH_train.json by more than its BENCHMARK.json
+#      bound; and when a traced drive run does not serve a batch of 32
+#      decisions cheaper per row than a batch of 1.
+#   3. Scalar fallback: configures a tree with -DHEAD_SIMD_DISABLE=ON (no
+#      AVX2 TU — the portable scalar kernel backend only, as on a non-x86 or
+#      pre-AVX2 host) and runs the entire ctest suite against it.
+#   4. Flight-recorder smoke: drives head_cli end-to-end — records a
 #      forced-collision episode (crash policy) into a scratch dump dir, then
 #      replays the dump and requires bitwise parity with the recording.
-#   5. Profile stage: records a short op profile from the optimized tree
-#      (training_throughput --profile-out at --threads=1, requiring ≥95%
-#      of root wall time attributed to per-op rows) and diffs it against
-#      the committed baseline with tools/profile_diff.py — fails when any
-#      sizable op's per-call self time regressed ≥50%.
-#   6. Plans-off stage: the full ctest suite with HEAD_PLANS=0, pinning
-#      every capture-capable call site to the eager tape. Proves the
-#      static-plan fallback path (and everything downstream of it) stays
-#      healthy when plans are globally disabled.
-#   7. Serve stage: optimized build of bench/serve_throughput (single-request
-#      vs cross-client-batched decision serving plus three open-loop Poisson
-#      load points), gated against the checked-in baseline — fails if serving
-#      throughput regresses more than 30%, if the 0.6x-load p99 blows past
-#      its recorded noise envelope, or if a warmed-up batched replay performs
-#      any arena/pool heap event per request (--require-zero-allocs).
+#   5. Plans off: the full ctest suite with HEAD_PLANS=0, pinning every
+#      capture-capable call site to the eager tape.
+#
+# Builds and ctest runs use one job per CPU.
 #
 # Usage:
-#   tools/check.sh                         # all stages (tsan + asan + perf)
-#   HEAD_SANITIZE=address tools/check.sh   # only the ASan+UBSan stage
-#   HEAD_SANITIZE=thread tools/check.sh    # only the TSan stage
-#   HEAD_SKIP_PERF=1 tools/check.sh        # skip the perf gate
+#   tools/check.sh                         # all stages
+#   HEAD_SANITIZE=address tools/check.sh   # only the ASan+UBSan sanitizer
+#   HEAD_SANITIZE=thread tools/check.sh    # only the TSan sanitizer
+#   HEAD_SKIP_PERF=1 tools/check.sh        # skip the perf stage
 #   HEAD_SKIP_SCALAR=1 tools/check.sh      # skip the scalar-fallback suite
 #   HEAD_SKIP_SMOKE=1 tools/check.sh       # skip the flight-recorder smoke
-#   HEAD_SKIP_PROFILE=1 tools/check.sh     # skip the op-profile diff gate
 #   HEAD_SKIP_PLANS=1 tools/check.sh       # skip the plans-off ctest suite
-#   HEAD_SKIP_SERVE=1 tools/check.sh       # skip the serve throughput gate
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+JOBS="$(nproc)"
 
 # Default: run both sanitizers back to back. HEAD_SANITIZE picks just one.
 SANITIZERS=(thread address)
@@ -76,7 +66,7 @@ for SANITIZER in "${SANITIZERS[@]}"; do
 
   cmake -B "${BUILD_DIR}" -S . -DHEAD_SANITIZE="${SANITIZER}" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build "${BUILD_DIR}" -j --target "${SAN_TESTS[@]}"
+  cmake --build "${BUILD_DIR}" -j "${JOBS}" --target "${SAN_TESTS[@]}"
 
   echo "== running obs + sim + sensor + nn + parallel tests under ${SANITIZER} sanitizer =="
   for t in "${SAN_TESTS[@]}"; do
@@ -87,62 +77,57 @@ for SANITIZER in "${SANITIZERS[@]}"; do
 done
 
 if [[ "${HEAD_SKIP_PERF:-0}" != "1" ]]; then
-  # Perf needs an optimized, unsanitized build — separate from the sanitizer
-  # trees so switching stages never rebuilds the world.
-  PERF_BUILD_DIR="build-perf"
-  cmake -B "${PERF_BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build "${PERF_BUILD_DIR}" -j --target training_throughput
-
-  # HEAD_PERF_THREADS pins the measured thread count; the committed baseline
-  # was recorded at --threads=1 on a 1-core container, so 1 is the default.
-  PERF_THREADS="${HEAD_PERF_THREADS:-1}"
-  echo "== perf smoke: training throughput (--threads=${PERF_THREADS}) vs checked-in baseline =="
-  "${PERF_BUILD_DIR}/bench/training_throughput" \
-    --threads="${PERF_THREADS}" \
-    --json-out="${PERF_BUILD_DIR}/BENCH_training_throughput.json" \
-    --metrics-out="${PERF_BUILD_DIR}/BENCH_metrics.json" \
-    --baseline=bench/baselines/training_throughput.json \
-    --max-regress=0.30 \
-    --require-zero-allocs
-  # Disabled-scope ceiling: HEAD_SCOPE sits permanently in every hot path,
-  # so with profiling and tracing off it must stay a relaxed load + branch.
-  python3 - "${PERF_BUILD_DIR}/BENCH_training_throughput.json" <<'PY'
-import json, sys
-ns = json.load(open(sys.argv[1])).get("scope_disabled_ns")
-if ns is None or ns > 5.0:
-    sys.exit(f"disabled-scope cost: scope_disabled_ns = {ns} (ceiling 5 ns)")
-print(f"ok   scope_disabled_ns: {ns:.2f} ns <= 5 ns")
-PY
-  echo "== perf smoke passed (JSON: ${PERF_BUILD_DIR}/BENCH_training_throughput.json) =="
-
-  # Opt-level parity: the same bench built in the tier-1 RelWithDebInfo
-  # (-O2) configuration must run every AVX2 GEMM shape at >= 0.7x the -O3
-  # rate measured just above. Catches kernels whose speed depends on -O3
-  # (e.g. accumulator arrays that only -O3 keeps in registers), which the
-  # -O3 floors alone never see.
-  O2_BUILD_DIR="build-o2"
-  cmake -B "${O2_BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build "${O2_BUILD_DIR}" -j --target training_throughput
-  echo "== opt-level parity: gemm_*_avx2_gflops at -O2 vs -O3 (floor 0.7x) =="
-  "${O2_BUILD_DIR}/bench/training_throughput" \
-    --threads="${PERF_THREADS}" --plans=off \
-    --json-out="${O2_BUILD_DIR}/BENCH_training_throughput.json" > /dev/null
-  python3 - "${PERF_BUILD_DIR}/BENCH_training_throughput.json" \
-    "${O2_BUILD_DIR}/BENCH_training_throughput.json" <<'PY'
-import json, sys
-o3, o2 = (json.load(open(path)) for path in sys.argv[1:3])
-keys = sorted(k for k in o3 if k.startswith("gemm_") and k.endswith("_avx2_gflops"))
-if not keys or any(o3[k] <= 0 for k in keys):
-    sys.exit("opt-level parity: no AVX2 gemm keys in the -O3 run")
+  # perf_gates at -O3 (Release) and at -O2 (RelWithDebInfo, the tier-1
+  # build), five runs each, alternating. Trees of their own, so switching
+  # stages never rebuilds the world.
+  cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release
+  cmake --build build-perf -j "${JOBS}" --target perf_gates
+  cmake -B build-o2 -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  cmake --build build-o2 -j "${JOBS}" --target perf_gates
+  echo "== perf gates: disabled scope, op-profile coverage, -O2/-O3 GEMM parity =="
+  GATE_RUNS=()
+  for run in 1 2 3 4 5; do
+    for tree in build-perf build-o2; do
+      out="${tree}/perf_gates_${run}.json"
+      "${tree}/bench/perf_gates" > "${out}"
+      GATE_RUNS+=("${out}")
+    done
+  done
+  python3 - "${GATE_RUNS[@]}" <<'PY'
+import json, statistics, sys
+runs = [json.load(open(p)) for p in sys.argv[1:]]
+o3, o2 = runs[0::2], runs[1::2]
 failed = False
-for k in keys:
-    ratio = o2.get(k, 0.0) / o3[k]
-    ok = ratio >= 0.7
+def verdict(ok, line):
+    global failed
     failed |= not ok
-    print(f"{'ok  ' if ok else 'FAIL'} {k}: -O2 {o2.get(k, 0.0):.2f} / -O3 {o3[k]:.2f} = {ratio:.2f}x")
-sys.exit("opt-level parity failed" if failed else 0)
+    print(f"{'ok  ' if ok else 'FAIL'} {line}")
+# HEAD_SCOPE sits permanently in every hot path, so with profiling and
+# tracing off it must stay a relaxed load and a branch.
+ns = statistics.median(r["scope_disabled_ns"] for r in o3)
+verdict(ns <= 5.0, f"scope_disabled_ns: {ns:.2f} ns (ceiling 5 ns)")
+cov = statistics.median(r["profile_coverage"] for r in o3)
+verdict(cov >= 0.95, f"profile_coverage: {cov:.4f} (floor 0.95)")
+# Kernels whose speed depends on -O3 (e.g. accumulator arrays that only
+# -O3 keeps in registers) run the tier-1 build at a fraction of the rate.
+# The host slows for seconds at a time by 20-30%, so each -O2 run is
+# compared with the -O3 run just before it, and the gate reads the median
+# of those ratios.
+for shape in o3[0]["gemm_gflops"]:
+    ratio = statistics.median(b["gemm_gflops"][shape] / a["gemm_gflops"][shape]
+                              for a, b in zip(o3, o2))
+    hi = statistics.median(r["gemm_gflops"][shape] for r in o3)
+    lo = statistics.median(r["gemm_gflops"][shape] for r in o2)
+    verdict(ratio >= 0.7, f"gemm {shape}: -O2/-O3 {ratio:.2f}x (floor 0.7x; "
+                          f"medians {lo:.2f} / {hi:.2f} GFLOP/s)")
+sys.exit("perf gates failed" if failed else 0)
 PY
-  echo "== opt-level parity passed =="
+  # End to end: perfbench's drive and train workloads against the committed
+  # ledger (BENCH_drive.json, BENCH_train.json), plus the serve batching
+  # gain from a traced drive run.
+  echo "== perf ledger: perfbench drive and train vs BENCH_*.json =="
+  python3 tools/bench_ledger.py check
+  echo "== perf stage passed =="
 fi
 
 if [[ "${HEAD_SKIP_SCALAR:-0}" != "1" ]]; then
@@ -153,18 +138,18 @@ if [[ "${HEAD_SKIP_SCALAR:-0}" != "1" ]]; then
   SCALAR_BUILD_DIR="build-scalar"
   cmake -B "${SCALAR_BUILD_DIR}" -S . -DHEAD_SIMD_DISABLE=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build "${SCALAR_BUILD_DIR}" -j
+  cmake --build "${SCALAR_BUILD_DIR}" -j "${JOBS}"
   echo "== scalar-fallback suite: full ctest with -DHEAD_SIMD_DISABLE=ON =="
-  ctest --test-dir "${SCALAR_BUILD_DIR}" --output-on-failure
+  ctest --test-dir "${SCALAR_BUILD_DIR}" --output-on-failure -j "${JOBS}"
   echo "== scalar-fallback suite passed =="
 fi
 
 if [[ "${HEAD_SKIP_SMOKE:-0}" != "1" ]]; then
-  # Shares the optimized tree with the perf stage (creates it when perf was
+  # Shares the -O3 tree with the perf stage (creates it when perf was
   # skipped); only head_cli needs to build.
   SMOKE_BUILD_DIR="build-perf"
   cmake -B "${SMOKE_BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build "${SMOKE_BUILD_DIR}" -j --target head_cli
+  cmake --build "${SMOKE_BUILD_DIR}" -j "${JOBS}" --target head_cli
 
   DUMP_DIR="${SMOKE_BUILD_DIR}/flight_smoke"
   rm -rf "${DUMP_DIR}"
@@ -177,59 +162,16 @@ if [[ "${HEAD_SKIP_SMOKE:-0}" != "1" ]]; then
   echo "== flight-recorder smoke passed (${MANIFEST}) =="
 fi
 
-if [[ "${HEAD_SKIP_PROFILE:-0}" != "1" ]]; then
-  # Shares the optimized tree with the perf/smoke stages. The profiled pass
-  # is deliberately tiny (1 trial, no gemm sweep) — the gate is per-call
-  # self time, which a short run measures as well as a long one. The
-  # committed baseline records each op's *noise envelope* (per-op max
-  # us/call over repeated runs on the reference container, whose scheduler
-  # jitter swings sub-ms ops several-fold run to run), so the diff is a
-  # backstop against step-change regressions, not a ±50% microbenchmark.
-  PROFILE_BUILD_DIR="build-perf"
-  cmake -B "${PROFILE_BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build "${PROFILE_BUILD_DIR}" -j --target training_throughput
-
-  echo "== op-profile: record (--threads=1, coverage >= 95%) and diff vs baseline =="
-  "${PROFILE_BUILD_DIR}/bench/training_throughput" \
-    --skip-gemm --trials=1 --threads=1 \
-    --profile-out="${PROFILE_BUILD_DIR}/BENCH_profile.json" \
-    --min-profile-coverage=0.95 > /dev/null
-  python3 tools/profile_diff.py \
-    bench/baselines/profile_training_throughput.json \
-    "${PROFILE_BUILD_DIR}/BENCH_profile.json" \
-    --threshold=0.5
-  echo "== op-profile diff passed (${PROFILE_BUILD_DIR}/BENCH_profile.json) =="
-fi
-
 if [[ "${HEAD_SKIP_PLANS:-0}" != "1" ]]; then
   # Plans-off suite: the whole test battery with HEAD_PLANS=0, so every
-  # plan call site takes its eager fallback. Shares the optimized
-  # tree with the perf/smoke/profile stages; building the remaining test
-  # targets there is incremental.
+  # plan call site takes its eager fallback. Shares the -O3 tree with the
+  # perf and smoke stages; building the remaining test targets there is
+  # incremental.
   PLANS_BUILD_DIR="build-perf"
   cmake -B "${PLANS_BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build "${PLANS_BUILD_DIR}" -j
+  cmake --build "${PLANS_BUILD_DIR}" -j "${JOBS}"
   echo "== plans-off suite: full ctest with HEAD_PLANS=0 =="
-  HEAD_PLANS=0 ctest --test-dir "${PLANS_BUILD_DIR}" --output-on-failure
+  HEAD_PLANS=0 ctest --test-dir "${PLANS_BUILD_DIR}" --output-on-failure \
+    -j "${JOBS}"
   echo "== plans-off suite passed =="
-fi
-
-if [[ "${HEAD_SKIP_SERVE:-0}" != "1" ]]; then
-  # Shares the optimized tree with the perf/smoke/profile stages. Like the
-  # perf stage, the committed baseline was recorded at --threads=1 on the
-  # 1-core reference container; HEAD_PERF_THREADS overrides.
-  SERVE_BUILD_DIR="build-perf"
-  cmake -B "${SERVE_BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build "${SERVE_BUILD_DIR}" -j --target serve_throughput
-
-  SERVE_THREADS="${HEAD_PERF_THREADS:-1}"
-  echo "== serve smoke: decision-serving throughput (--threads=${SERVE_THREADS}) vs checked-in baseline =="
-  "${SERVE_BUILD_DIR}/bench/serve_throughput" \
-    --threads="${SERVE_THREADS}" \
-    --json-out="${SERVE_BUILD_DIR}/BENCH_serve_throughput.json" \
-    --metrics-out="${SERVE_BUILD_DIR}/BENCH_serve_metrics.json" \
-    --baseline=bench/baselines/serve_throughput.json \
-    --max-regress=0.30 \
-    --require-zero-allocs
-  echo "== serve smoke passed (JSON: ${SERVE_BUILD_DIR}/BENCH_serve_throughput.json) =="
 fi

@@ -21,8 +21,8 @@
 //   --record-dir=<path>    Enable the flight recorder; collisions (and other
 //                          configured triggers) dump JSONL + manifest there.
 //   --profile-out=<path>   Enable the op profiler; write the per-(op, shape)
-//                          profile JSON on exit (tools/profile_diff.py input)
-//                          and print the top-10 table to stderr. Combined
+//                          profile JSON ("head-profile-v1") on exit and print
+//                          the top-10 table to stderr. Combined
 //                          with --trace-out, the trace additionally carries
 //                          the profiler's GFLOP/s / GB/s counter tracks.
 #include <cstdio>
